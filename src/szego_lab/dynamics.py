@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 from scipy.integrate import solve_ivp
 
 from .spectral_core import (
@@ -25,6 +26,7 @@ from .spectral_core import (
     from_spectrum,
     project_spectrum,
     spectrum,
+    szego_project,
 )
 from .operators import (
     PotentialSpec,
@@ -82,13 +84,6 @@ class CoefficientTriple:
         return np.array([self.A, self.B, self.C])
 
 
-def _window(b: PotentialSpec, g: GroupElement, n_quad: int = 1 << 17):
-    lo, hi = b.support_hint
-    pad = 8.0 / g.mu
-    y = np.linspace(lo - pad, hi + pad, n_quad)
-    return y, y[1] - y[0]
-
-
 def _trapz(f: np.ndarray, dy: float) -> float:
     return float(dy * (np.sum(f) - 0.5 * (f[0] + f[-1])))
 
@@ -108,25 +103,17 @@ def abc_coefficients(g: GroupElement, b: PotentialSpec, eps: float,
         # constant symbol: only the mean survives, and exactly
         return CoefficientTriple(eps * float(b.eval_b(np.zeros(1))[0]), 0.0, 0.0)
     a, mu = g.a, g.mu
-    if b.support_hint is not None:
-        y, dy = _window(b, g, n_quad)
-        x = mu * (y - a)
-        dens = mu / (x**2 + 1.0)          # |eta(mu(y-a))|^2 * mu
-        bv = np.asarray(b.eval_b(y), dtype=float)
-        dbv = np.asarray(b.eval_db(y), dtype=float)
-        A = (eps / np.pi) * _trapz(bv * dens, dy)
-        B = (eps / np.pi) * _trapz(dbv * (y - a) * dens, dy)
-        C = (eps / np.pi) * _trapz(dbv * dens / mu, dy)
-    else:
-        # no support information; fall back to a wide fixed window
-        y = np.linspace(a - 64.0, a + 64.0, n_quad)
-        dy = y[1] - y[0]
-        x = mu * (y - a)
-        dens = mu / (x**2 + 1.0)
-        A = (eps / np.pi) * _trapz(np.asarray(b.eval_b(y), dtype=float) * dens, dy)
-        dbv = np.asarray(b.eval_db(y), dtype=float)
-        B = (eps / np.pi) * _trapz(dbv * (y - a) * dens, dy)
-        C = (eps / np.pi) * _trapz(dbv * dens / mu, dy)
+    # the potential's support padded by 8/mu, or a wide window around a
+    lo, hi, pad = (*b.support_hint, 8.0 / mu) if b.support_hint else (a, a, 64.0)
+    y = np.linspace(lo - pad, hi + pad, n_quad)
+    dy = y[1] - y[0]
+    x = mu * (y - a)
+    dens = mu / (x**2 + 1.0)          # |eta(mu(y-a))|^2 * mu
+    bv = np.asarray(b.eval_b(y), dtype=float)
+    dbv = np.asarray(b.eval_db(y), dtype=float)
+    A = (eps / np.pi) * _trapz(bv * dens, dy)
+    B = (eps / np.pi) * _trapz(dbv * (y - a) * dens, dy)
+    C = (eps / np.pi) * _trapz(dbv * dens / mu, dy)
     return CoefficientTriple(A, B, C)
 
 
@@ -169,14 +156,32 @@ def abc_pairing(g: GroupElement, b: PotentialSpec, eps: float,
     return CoefficientTriple(A, B, C)
 
 
+def _raw_rhs(V: np.ndarray, eb: np.ndarray = None) -> np.ndarray:
+    """The right-hand-side kernel in raw FFT coordinates.
+
+    V = fft(u) without the continuum phases; returns
+    fft(-i P(|u|^2 u + eb u)).  The Hardy projection zeroes the bins
+    [n/2:], which in fftfreq order are exactly ~grid.nonneg.
+    """
+    u = scipy.fft.ifft(V)
+    w = u.real * u.real
+    w += u.imag * u.imag
+    if eb is not None:
+        w += eb
+    u *= w
+    F = scipy.fft.fft(u, overwrite_x=True)
+    half = F.size // 2
+    F[half:] = 0.0
+    F[:half] *= -1j
+    return F
+
+
 def pde_rhs(u: HardyField, b: PotentialSpec = None, eps: float = 0.0) -> HardyField:
     """-i (P(|u|^2 u) + eps T_b u), the right-hand side of the flow."""
     grid = u.grid
-    vals = np.abs(u.values) ** 2 * u.values
-    if eps != 0.0:
-        vals = vals + eps * b.on_grid(grid) * u.values
-    spec = -1j * project_spectrum(grid, spectrum(grid, vals))
-    return HardyField(grid, from_spectrum(grid, spec), _spectrum=spec)
+    eb = eps * b.on_grid(grid) if eps != 0.0 else None
+    F = _raw_rhs(scipy.fft.fft(u.values), eb)
+    return HardyField(grid, scipy.fft.ifft(F), _spectrum=F * grid._fwd_phase)
 
 
 @dataclass(frozen=True)
@@ -199,48 +204,50 @@ def evolve_pde(u0: HardyField, b: PotentialSpec = None, eps: float = 0.0,
 
     The Hardy projection is applied inside every stage evaluation; the
     nonlinearity has no derivatives of u, so there is no step-size
-    stability constraint beyond accuracy.  Samples are kept every
-    `stride` steps (plus the final step).
+    stability constraint beyond accuracy.  The state is stepped in raw
+    FFT coordinates (_raw_rhs), so the continuum phases are applied only
+    when a sample is taken.  Samples are kept every `stride` steps (plus
+    the final step).
     """
     grid = u0.grid
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ValueError("t_final must be an integer number of steps")
-    bv = b.on_grid(grid) if (b is not None and eps != 0.0) else None
-    neg = ~grid.nonneg
-
-    def rhs(spec_u):
-        u = from_spectrum(grid, spec_u)
-        vals = np.abs(u) ** 2 * u
-        if bv is not None:
-            vals += eps * bv * u
-        out = spectrum(grid, vals)
-        out[neg] = 0.0
-        return -1j * out
-
-    U = u0.spectrum.copy()
-    U[neg] = 0.0
+    eb = eps * b.on_grid(grid) if (b is not None and eps != 0.0) else None
+    U = np.where(grid.nonneg, u0.spectrum, 0.0)
     times = [0.0]
-    fields = [HardyField(grid, from_spectrum(grid, U.copy()), _spectrum=U.copy())]
+    fields = [HardyField(grid, from_spectrum(grid, U), _spectrum=U)]
     m0 = mass(fields[0])
     h0 = hamiltonian(fields[0], b, eps)
     m_drift = 0.0
     h_drift = 0.0
     h_scale = max(abs(h0), 1e-30)
-    for k in range(1, n_steps + 1):
-        k1 = rhs(U)
-        k2 = rhs(U + 0.5 * dt * k1)
-        k3 = rhs(U + 0.5 * dt * k2)
-        k4 = rhs(U + dt * k3)
-        U = U + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(U)):
-            raise DivergenceError(f"non-finite field at step {k} (t={k * dt:.6g})")
-        if k % stride == 0 or k == n_steps:
-            f = HardyField(grid, from_spectrum(grid, U.copy()), _spectrum=U.copy())
-            times.append(k * dt)
-            fields.append(f)
-            m_drift = max(m_drift, abs(mass(f) - m0) / m0)
-            h_drift = max(h_drift, abs(hamiltonian(f, b, eps) - h0) / h_scale)
+    # (stage offset, weight) of k2..k4; k1 has weight dt/6
+    stages = ((0.5 * dt, dt / 3.0), (0.5 * dt, dt / 3.0), (dt, dt / 6.0))
+    # work buffers belong to this call: sweep members run on threads
+    V = U * grid._inv_phase
+    Y = np.empty_like(V)
+    acc = np.empty_like(V)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            K = _raw_rhs(V, eb)
+            np.multiply(K, dt / 6.0, out=acc)
+            for offset, weight in stages:
+                np.multiply(K, offset, out=Y)
+                Y += V
+                K = _raw_rhs(Y, eb)
+                np.multiply(K, weight, out=Y)
+                acc += Y
+            V += acc
+            if not np.all(np.isfinite(V)):
+                raise DivergenceError(f"non-finite field at step {k} (t={k * dt:.6g})")
+            if k % stride == 0 or k == n_steps:
+                S = V * grid._fwd_phase
+                f = HardyField(grid, from_spectrum(grid, S), _spectrum=S)
+                times.append(k * dt)
+                fields.append(f)
+                m_drift = max(m_drift, abs(mass(f) - m0) / m0)
+                h_drift = max(h_drift, abs(hamiltonian(f, b, eps) - h0) / h_scale)
     return PdeTrajectory(grid, np.array(times), fields, m_drift, h_drift, eps, dt)
 
 
@@ -350,5 +357,4 @@ def w_equation_rhs(w: HardyField, g: GroupElement, gdot, b: PotentialSpec,
     lw = linearized_apply(w)
     nw = nonlinear_remainder(w)
     vals = vals + 1j * al**2 * mu**2 * (lw.values - nw.values)
-    spec = project_spectrum(grid, spectrum(grid, vals))
-    return HardyField(grid, from_spectrum(grid, spec), _spectrum=spec)
+    return szego_project(vals, grid)

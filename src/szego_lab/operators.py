@@ -21,10 +21,8 @@ from .spectral_core import (
     HardyField,
     SpectralGrid,
     from_spectrum,
-    project_spectrum,
     quadrature,
     sobolev_norm,
-    spectrum,
     szego_project,
 )
 
@@ -184,15 +182,13 @@ def _symbol_values(b, grid: SpectralGrid) -> np.ndarray:
 def toeplitz_apply(b, h: HardyField) -> HardyField:
     """T_b h = P(b h) for a real symbol b."""
     vals = _symbol_values(b, h.grid) * h.values
-    spec = project_spectrum(h.grid, spectrum(h.grid, vals))
-    return HardyField(h.grid, from_spectrum(h.grid, spec), _spectrum=spec)
+    return szego_project(vals, h.grid)
 
 
 def hankel_apply(u: HardyField, h: HardyField) -> HardyField:
     """H_u h = P(u conj(h)); antilinear in h."""
     vals = u.values * np.conj(h.values)
-    spec = project_spectrum(u.grid, spectrum(u.grid, vals))
-    return HardyField(u.grid, from_spectrum(u.grid, spec), _spectrum=spec)
+    return szego_project(vals, u.grid)
 
 
 @dataclass(frozen=True)
@@ -270,8 +266,7 @@ def linearized_apply(w: HardyField) -> HardyField:
     dw = from_spectrum(grid, 1j * grid.xi * w.spectrum)
     vals = (-0.5j * dw - 2.0 * abs2 * w.values - eta_sq * np.conj(w.values)
             + 0.25 * w.values)
-    spec = project_spectrum(grid, spectrum(grid, vals))
-    return HardyField(grid, from_spectrum(grid, spec), _spectrum=spec)
+    return szego_project(vals, grid)
 
 
 def nonlinear_remainder(w: HardyField) -> HardyField:
@@ -280,8 +275,7 @@ def nonlinear_remainder(w: HardyField) -> HardyField:
     eta, _, _ = _eta_pieces(grid)
     aw2 = np.abs(w.values) ** 2
     vals = aw2 * w.values + aw2 * eta + 2.0 * w.values * np.real(eta * np.conj(w.values))
-    spec = project_spectrum(grid, spectrum(grid, vals))
-    return HardyField(grid, from_spectrum(grid, spec), _spectrum=spec)
+    return szego_project(vals, grid)
 
 
 def hamiltonian(u: HardyField, b: PotentialSpec = None, eps: float = 0.0) -> float:

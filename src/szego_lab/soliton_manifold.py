@@ -30,8 +30,6 @@ from .spectral_core import (
     SpectralGrid,
     from_spectrum,
     pair_spectra,
-    project_spectrum,
-    spectrum,
     szego_project,
     symplectic_pair,
 )
@@ -204,8 +202,7 @@ def lie_apply(Y: LieVector, u: HardyField) -> HardyField:
     du = from_spectrum(grid, du_spec)
     vals = (-Y.y1 * du + (Y.y2 + 1j * Y.y3) * u.values
             + Y.y4 * (u.values + grid.x * du))
-    spec = project_spectrum(grid, spectrum(grid, vals))
-    return HardyField(grid, from_spectrum(grid, spec), _spectrum=spec)
+    return szego_project(vals, grid)
 
 
 def generator_spectra(grid: SpectralGrid, g: GroupElement = None) -> list:

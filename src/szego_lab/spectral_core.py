@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 __all__ = [
     "SpectralGrid",
@@ -76,12 +77,12 @@ class SpectralGrid:
 
 def spectrum(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
     """Continuum-normalized Fourier coefficients of grid samples."""
-    return np.fft.fft(values) * grid._fwd_phase
+    return scipy.fft.fft(values) * grid._fwd_phase
 
 
 def from_spectrum(grid: SpectralGrid, spec: np.ndarray) -> np.ndarray:
     """Inverse of :func:`spectrum`."""
-    return np.fft.ifft(spec * grid._inv_phase)
+    return scipy.fft.ifft(spec * grid._inv_phase)
 
 
 @dataclass(frozen=True, eq=False)

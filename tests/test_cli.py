@@ -186,3 +186,18 @@ def test_sweep_writes_summary(tmp_path):
         sub = out / f"eps_{eps:g}"
         assert (sub / "metrics.json").exists()
         assert (sub / "track.csv").exists()
+
+
+def test_sweep_parallel_matches_serial(tmp_path):
+    # members on a thread pool must not share integrator state
+    path = write_config(tmp_path, tiny_config(eps_list=[4e-2, 2e-2, 1e-2]))
+    outs = []
+    for parallel in ("2", "1"):
+        out = tmp_path / f"p{parallel}"
+        assert main(["sweep", "--config", path, "--out", str(out),
+                     "--parallel", parallel]) == 0
+        outs.append(out)
+    for eps in (0.04, 0.02, 0.01):
+        for name in ("track.csv", "metrics.json"):
+            got, want = (o / f"eps_{eps:g}" / name for o in outs)
+            assert got.read_bytes() == want.read_bytes(), (eps, name)

@@ -94,6 +94,23 @@ def test_pde_rhs_assembly(grid):
     assert_allclose(got.values, expected, atol=1e-12)
 
 
+def test_lean_kernel_matches_reference_rk4(grid):
+    # the raw-coordinate stepper against textbook RK4 over the public
+    # pde_rhs, on the transit geometry
+    eps, dt, n_steps = 1e-2, 5e-4, 100
+    u0 = soliton_profile(GroupElement(-3.0, 1.0, 0.0, 3.0), grid)
+    traj = evolve_pde(u0, GAUSS, eps, t_final=n_steps * dt, dt=dt, stride=n_steps)
+    u = u0.values
+    for _ in range(n_steps):
+        k1 = pde_rhs(HardyField(grid, u), GAUSS, eps).values
+        k2 = pde_rhs(HardyField(grid, u + 0.5 * dt * k1), GAUSS, eps).values
+        k3 = pde_rhs(HardyField(grid, u + 0.5 * dt * k2), GAUSS, eps).values
+        k4 = pde_rhs(HardyField(grid, u + dt * k3), GAUSS, eps).values
+        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    ref = szego_project(u, grid)
+    assert np.max(np.abs(traj.fields[-1].spectrum - ref.spectrum)) <= 1e-12
+
+
 def test_evolve_pde_rejects_misaligned_horizon(grid):
     u = soliton_profile(identity(), grid)
     with pytest.raises(ValueError):
