@@ -163,6 +163,13 @@ def horizon(cfg: dict) -> float:
         * math.log(1.0 / eps)
 
 
+def run_horizon(cfg: dict) -> float:
+    """horizon(cfg) snapped down to a whole number of dt steps, the
+    horizon every command integrates to."""
+    dt = float(cfg.get("dt", 5e-4))
+    return math.floor(horizon(cfg) / dt + 1e-9) * dt
+
+
 def build_grid(cfg: dict) -> SpectralGrid:
     return SpectralGrid(cfg["grid"]["n"], float(cfg["grid"]["L"]))
 
@@ -203,8 +210,7 @@ def _write_json(path, obj) -> None:
 def _sample_times(cfg: dict) -> np.ndarray:
     dt = float(cfg.get("dt", 5e-4))
     stride = int(cfg.get("stride", 100))
-    t_final = horizon(cfg)
-    n_steps = int(round(t_final / dt))
+    n_steps = int(round(run_horizon(cfg) / dt))
     ks = list(range(0, n_steps + 1, stride))
     if ks[-1] != n_steps:
         ks.append(n_steps)
@@ -216,8 +222,8 @@ def cmd_simulate(cfg: dict, outdir: str, with_plots: bool) -> int:
     b = build_potential(cfg)
     eps = float(cfg["eps"])
     u0 = soliton_profile(build_g0(cfg), grid)
-    traj = evolve_pde(u0, b, eps, horizon(cfg), float(cfg.get("dt", 5e-4)),
-                      int(cfg.get("stride", 100)))
+    traj = evolve_pde(u0, b, eps, run_horizon(cfg),
+                      float(cfg.get("dt", 5e-4)), int(cfg.get("stride", 100)))
     norms_l2 = [f.norm_l2() for f in traj.fields]
     norms_h12 = [sobolev_norm(f, 0.5) for f in traj.fields]
     masses = [mass(f) for f in traj.fields]
@@ -269,8 +275,8 @@ def _run_tracked(cfg: dict):
     eps = float(cfg["eps"])
     g0 = build_g0(cfg)
     u0 = soliton_profile(g0, grid)
-    traj = evolve_pde(u0, b, eps, horizon(cfg), float(cfg.get("dt", 5e-4)),
-                      int(cfg.get("stride", 100)))
+    traj = evolve_pde(u0, b, eps, run_horizon(cfg),
+                      float(cfg.get("dt", 5e-4)), int(cfg.get("stride", 100)))
     eff = evolve_effective(EffectiveState(0.0, g0), b, eps,
                            float(traj.times[-1]), t_eval=traj.times,
                            grid=grid, rtol=1e-11, atol=1e-13)

@@ -5,8 +5,12 @@ scaling summaries used by the sweep regressions.
 
 The Newton solve runs in the lab frame.  For a candidate g the
 orthogonality conditions pair u - S(g) against the generator frame at
-g, every spectrum in closed form, so one FFT of u at entry is the only
-transform the iteration needs.  The moving-frame field w is
+g.  The frame, its parameter derivatives and the tangents of S are the
+family spectrum shape times polynomials of degree <= 2 in xi, so the
+residual and its Jacobian are closed-form combinations of six spectral
+moments of u and of the family shape: each Newton evaluation costs one
+exponential and a few weighted sums over the nonnegative bins, and one
+FFT of u at entry is the only transform.  The moving-frame field w is
 materialized once, after convergence.
 """
 
@@ -70,51 +74,38 @@ class Decomposition:
     w_h12: float = 0.0
 
 
-def _pair_im(A: np.ndarray, B: np.ndarray, L: float) -> float:
-    return float(np.sum(np.imag(A * np.conj(B))) / L)
-
-
-def _frame_and_derivs(g: GroupElement, grid: SpectralGrid):
-    """Generator frame at g and its parameter derivatives, by formula.
-
-    Each frame spectrum is base * v_j(xi/mu) with base the family
-    spectrum shape and v_j a polynomial of degree <= 1, so every
-    derivative is again elementary.
-    """
-    xi = grid.xi_pos
-    zeta = xi / g.mu
-    base = (np.exp(1j * g.phi) * g.alpha) * np.exp(-zeta - 1j * g.a * xi)
-    v = [-2.0 * np.pi * zeta,
-         -2j * np.pi * np.ones_like(zeta),
-         2.0 * np.pi * np.ones_like(zeta),
-         -2j * np.pi * zeta]
-    dv = [-2.0 * np.pi, 0.0, 0.0, -2j * np.pi]
-    E = [base * vj for vj in v]
-    dE = np.empty((4, 4, xi.size), dtype=complex)
-    for j in range(4):
-        dE[j, 0] = -1j * xi * E[j]
-        dE[j, 1] = E[j] / g.alpha
-        dE[j, 2] = 1j * E[j]
-        dE[j, 3] = (xi / g.mu**2) * (E[j] - base * dv[j])
-    return E, dE
-
-
 def _residual_and_jacobian(u_pos: np.ndarray, g: GroupElement,
                            grid: SpectralGrid):
     """Orthogonality residual R_j = omega(u - S(g), E_j(g)) and its
-    analytic 4x4 Jacobian in (a, alpha, phi, mu)."""
-    L = grid.box_length
+    analytic 4x4 Jacobian in (a, alpha, phi, mu), from six moments.
+
+    With base = S / (-2 pi i), the frame E_j, its parameter derivatives
+    and the tangents dS/dg_k are all base times a polynomial of degree
+    <= 2 in xi, so every pairing is a fixed combination of
+    m_p = sum u conj(base) xi^p and q_p = sum |base|^2 xi^p, p = 0, 1, 2
+    (u - S contributes m_p + 2 pi i q_p).
+    """
+    al, mu = g.alpha, g.mu
     xi = grid.xi_pos
-    S = (np.exp(1j * g.phi) * g.alpha * (-2j * np.pi)) \
-        * np.exp(-xi / g.mu - 1j * g.a * xi)
-    D = u_pos - S
-    T = [-1j * xi * S, S / g.alpha, 1j * S, (xi / g.mu**2) * S]
-    E, dE = _frame_and_derivs(g, grid)
-    R = np.array([_pair_im(D, E[j], L) for j in range(4)])
-    J = np.empty((4, 4))
-    for j in range(4):
-        for k in range(4):
-            J[j, k] = -_pair_im(T[k], E[j], L) + _pair_im(D, dE[j, k], L)
+    base = (np.exp(1j * g.phi) * al) * np.exp(-xi / mu - 1j * g.a * xi)
+    bb = base.real * base.real + base.imag * base.imag
+    ub = u_pos * np.conj(base)
+    xi2 = xi * xi
+    m = (complex(np.sum(ub)), complex(np.sum(ub * xi)),
+         complex(np.sum(ub * xi2)))
+    x0, x1, x2 = (v.real for v in m)
+    y0, y1, y2 = (v.imag for v in m)
+    tp = 2.0 * np.pi
+    Q0, Q1, Q2 = tp * np.sum(bb), tp * np.sum(bb * xi), tp * np.sum(bb * xi2)
+    # R_j and J_jk written out in the moments, in units of 2 pi / L
+    s = tp / grid.box_length
+    R = s * np.array([-(y1 + Q1) / mu, x0, y0 + Q0, x1 / mu])
+    J = s * np.array([
+        [-x2 / mu, -(y1 + 2 * Q1) / (al * mu), x1 / mu,
+         (y1 + Q1 - (y2 + 2 * Q2) / mu) / mu**2],
+        [-y1, x0 / al, y0, x1 / mu**2],
+        [x1, (y0 + 2 * Q0) / al, -x0, (y1 + 2 * Q1) / mu**2],
+        [-y2 / mu, x1 / (al * mu), y1 / mu, (x2 / mu - x1) / mu**2]])
     return R, J
 
 

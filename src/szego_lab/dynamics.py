@@ -24,7 +24,6 @@ from .spectral_core import (
     HardyField,
     SpectralGrid,
     from_spectrum,
-    project_spectrum,
     spectrum,
     szego_project,
 )
@@ -43,7 +42,6 @@ from .soliton_manifold import (
     generator_spectra,
     lie_apply,
     mass_log_slope,
-    tangent_frame_spectra,
 )
 
 __all__ = [
@@ -117,41 +115,41 @@ def abc_coefficients(g: GroupElement, b: PotentialSpec, eps: float,
     return CoefficientTriple(A, B, C)
 
 
-def _forcing_spectrum(grid: SpectralGrid, b: PotentialSpec, eps: float,
-                      S: np.ndarray) -> np.ndarray:
-    bv = b.on_grid(grid)
-    vals = bv * from_spectrum(grid, S)
-    return -1j * eps * project_spectrum(grid, spectrum(grid, vals))
-
-
 def abc_pairing(g: GroupElement, b: PotentialSpec, eps: float,
                 grid: SpectralGrid) -> CoefficientTriple:
     """Grid-consistent coefficients from the symplectic response.
 
-    The potential forcing is paired against the tangent frame of the
-    discrete family at (a, 1, 0, mu); the induced parameter rates are
-    then read back through the same relations that define A, B, C in
-    the continuum (B from the translation channel, C from the scale
-    channel, A from the phase channel).  Converges to abc_coefficients
-    as L grows.
+    The potential forcing F = -i eps P(b S) is paired against the
+    tangent frame of the discrete family at (a, 1, 0, mu); the induced
+    parameter rates are then read back through the same relations that
+    define A, B, C in the continuum (B from the translation channel, C
+    from the scale channel, A from the phase channel).  Each tangent is
+    S times a polynomial of degree <= 1 in xi, so the pairings need only
+    the moments sum F conj(S) xi^p (p = 0, 1) and sum |S|^2 xi^p
+    (p = 0, 1, 2) over the nonnegative bins.  Converges to
+    abc_coefficients as L grows.
     """
     if eps == 0.0:
         return CoefficientTriple(0.0, 0.0, 0.0)
-    probe = GroupElement(g.a, 1.0, 0.0, g.mu)
-    S = family_spectrum(probe, grid)
-    Ff = _forcing_spectrum(grid, b, eps, S)
-    T = tangent_frame_spectra(probe, grid)
-    Om = np.zeros((4, 4))
-    r = np.zeros(4)
-    for k in range(4):
-        r[k] = np.sum(np.imag(Ff * np.conj(T[k]))) / grid.box_length
-        for l in range(k + 1, 4):
-            v = np.sum(np.imag(T[k] * np.conj(T[l]))) / grid.box_length
-            Om[k, l] = v
-            Om[l, k] = -v
+    mu = g.mu
+    S = family_spectrum(GroupElement(g.a, 1.0, 0.0, mu), grid)
+    F = spectrum(grid, b.on_grid(grid) * from_spectrum(grid, S))[grid.nonneg]
+    S = S[grid.nonneg]
+    xi = grid.xi_pos
+    FS = (-1j * eps) * F * np.conj(S)
+    SS = S.real * S.real + S.imag * S.imag
+    f0, f1 = complex(np.sum(FS)), complex(np.sum(FS * xi))
+    s0, s1, s2 = np.sum(SS), np.sum(SS * xi), np.sum(SS * xi * xi)
+    # Om[k, l] = L omega(T_k, T_l) and r_k = L omega(F, T_k) written out
+    # for the tangents T = S * (-i xi, 1, i, xi/mu^2); the factor 1/L
+    # cancels in the solve
+    k = 1.0 / mu**2
+    Om = np.array([[0.0, -s1, 0.0, -k * s2], [s1, 0.0, -s0, 0.0],
+                   [0.0, s0, 0.0, k * s1], [k * s2, 0.0, -k * s1, 0.0]])
+    r = np.array([f1.real, f0.imag, -f0.real, k * f1.imag])
     rates = -np.linalg.solve(Om, r)
-    B = -probe.mu * rates[0] / 2.0
-    C = -rates[3] / (2.0 * probe.mu)
+    B = -mu * rates[0] / 2.0
+    C = -rates[3] / (2.0 * mu)
     A = -rates[2] - B
     return CoefficientTriple(A, B, C)
 

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,13 @@ def write_config(tmp_path, cfg, name="cfg.json"):
 
 def test_valid_config_produces_no_errors():
     assert validate_config(tiny_config()) == []
+
+
+def test_readme_config_block_is_valid():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    schema = readme.split("Config schema", 1)[1]
+    block = re.search(r"^    \{$.*?^    \}$", schema, re.S | re.M).group(0)
+    assert validate_config(json.loads(block)) == []
 
 
 def test_validate_config_reports_paths():
@@ -165,6 +174,17 @@ def test_track_writes_metrics(tmp_path):
     assert metrics["sup_w_h12"] >= 0
     assert "c_fit" in metrics
     assert metrics["max_newton_iters"] <= 5
+
+
+def test_track_runs_theorem_horizon(tmp_path):
+    # the formula horizon is not a whole number of steps; the run stops
+    # at the last step inside it
+    cfg = tiny_config(t_final={"policy": "theorem_horizon", "c0_fit": 32.0})
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "th"
+    assert main(["track", "--config", path, "--out", str(out)]) == 0
+    last = float((out / "track.csv").read_text().splitlines()[-1].split(",")[0])
+    assert horizon(cfg) - cfg["dt"] < last <= horizon(cfg)
 
 
 def test_sweep_without_eps_list_fails(tmp_path):

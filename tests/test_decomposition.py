@@ -16,6 +16,7 @@ from szego_lab.soliton_manifold import (
 from szego_lab.dynamics import EffectiveState, evolve_effective, evolve_pde
 from szego_lab.decomposition import (
     Decomposition,
+    _residual_and_jacobian,
     DegenerateParametrizationError,
     TrackReport,
     TubularNeighborhoodError,
@@ -35,6 +36,73 @@ def _orthogonal_bump(grid, rng, norm):
     for k, Ek in enumerate(generator_spectra(grid)):
         spec -= y.as_array()[k] * Ek
     return HardyField(grid, from_spectrum(grid, spec))
+
+
+def _pair_im(A, B, L):
+    return float(np.sum(np.imag(A * np.conj(B))) / L)
+
+
+def _per_bin_residual_and_jacobian(u_pos, g, grid):
+    """Reference form of the orthogonality system: the frame, its
+    parameter derivatives and the tangents as full spectra, paired bin
+    by bin."""
+    L = grid.box_length
+    xi = grid.xi_pos
+    zeta = xi / g.mu
+    base = (np.exp(1j * g.phi) * g.alpha) * np.exp(-zeta - 1j * g.a * xi)
+    S = -2j * np.pi * base
+    v = [-2.0 * np.pi * zeta, -2j * np.pi * np.ones_like(zeta),
+         2.0 * np.pi * np.ones_like(zeta), -2j * np.pi * zeta]
+    dv = [-2.0 * np.pi, 0.0, 0.0, -2j * np.pi]
+    E = [base * vj for vj in v]
+    dE = [[-1j * xi * E[j], E[j] / g.alpha, 1j * E[j],
+           (xi / g.mu**2) * (E[j] - base * dv[j])] for j in range(4)]
+    T = [-1j * xi * S, S / g.alpha, 1j * S, (xi / g.mu**2) * S]
+    D = u_pos - S
+    R = np.array([_pair_im(D, E[j], L) for j in range(4)])
+    J = np.array([[-_pair_im(T[k], E[j], L) + _pair_im(D, dE[j][k], L)
+                   for k in range(4)] for j in range(4)])
+    return R, J
+
+
+def _near_family(grid, rng, g):
+    """A member near g plus a small generic bump, as a nonnegative-bin spectrum."""
+    shifted = GroupElement(g.a + rng.uniform(-0.1, 0.1),
+                           g.alpha * rng.uniform(0.95, 1.05),
+                           g.phi + rng.uniform(-0.1, 0.1),
+                           g.mu * rng.uniform(0.95, 1.05))
+    w = random_rational_field(grid, rng, norm=0.05)
+    u = HardyField(grid, soliton_profile(shifted, grid).values + w.values)
+    return u.spectrum[grid.nonneg]
+
+
+_SYSTEM_POINTS = [GroupElement(-3.0, 1.0, 0.0, 3.0),
+                  GroupElement(1.3, 1.1, 0.7, 1.0),
+                  GroupElement(4.2, 0.8, -2.5, 0.6),
+                  GroupElement(-0.5, 1.4, 2.9, 1.7)]
+
+
+@pytest.mark.parametrize("g", _SYSTEM_POINTS)
+def test_moment_system_matches_per_bin_pairings(grid, rng, g):
+    u_pos = _near_family(grid, rng, g)
+    R, J = _residual_and_jacobian(u_pos, g, grid)
+    R_ref, J_ref = _per_bin_residual_and_jacobian(u_pos, g, grid)
+    assert np.max(np.abs(R - R_ref)) <= 1e-11 * np.max(np.abs(R_ref))
+    assert np.max(np.abs(J - J_ref)) <= 1e-11 * np.max(np.abs(J_ref))
+
+
+@pytest.mark.parametrize("g", _SYSTEM_POINTS)
+def test_jacobian_matches_central_differences(grid, rng, g):
+    u_pos = _near_family(grid, rng, g)
+    _, J = _residual_and_jacobian(u_pos, g, grid)
+    h = 1e-5
+    for k in range(4):
+        step = np.zeros(4)
+        step[k] = h
+        Rp, _ = _residual_and_jacobian(u_pos, GroupElement(*(g.as_array() + step)), grid)
+        Rm, _ = _residual_and_jacobian(u_pos, GroupElement(*(g.as_array() - step)), grid)
+        fd = (Rp - Rm) / (2 * h)
+        assert np.max(np.abs(J[:, k] - fd)) <= 1e-8 * np.max(np.abs(J)), k
 
 
 # -------------------------------------------------------------- reparametrize

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from szego_lab.spectral_core import HardyField, szego_project
+from szego_lab.spectral_core import HardyField, from_spectrum, spectrum, szego_project
 from szego_lab.operators import (
     constant_potential,
     gaussian_potential,
@@ -15,8 +15,10 @@ from szego_lab.soliton_manifold import (
     GroupElement,
     family_drift_rate,
     family_mass_constant,
+    family_spectrum,
     identity,
     soliton_profile,
+    tangent_frame_spectra,
 )
 from szego_lab.dynamics import (
     DivergenceError,
@@ -76,6 +78,33 @@ def test_abc_pairing_agrees_with_quadrature(grid):
     scale = max(abs(quad.A), abs(quad.B), abs(quad.C))
     for got, want in zip(paired.as_array(), quad.as_array()):
         assert abs(got - want) < 2e-2 * scale
+
+
+def _per_bin_abc_pairing(g, b, eps, grid):
+    """Reference form of abc_pairing: the forcing and the four tangent
+    spectra over the whole grid, paired bin by bin."""
+    probe = GroupElement(g.a, 1.0, 0.0, g.mu)
+    S = family_spectrum(probe, grid)
+    F = -1j * eps * spectrum(grid, b.on_grid(grid) * from_spectrum(grid, S))
+    F[~grid.nonneg] = 0.0
+    T = tangent_frame_spectra(probe, grid)
+    L = grid.box_length
+    r = np.array([np.sum(np.imag(F * np.conj(Tk))) / L for Tk in T])
+    Om = np.array([[np.sum(np.imag(Tk * np.conj(Tl))) / L for Tl in T] for Tk in T])
+    rates = -np.linalg.solve(Om, r)
+    B = -g.mu * rates[0] / 2.0
+    C = -rates[3] / (2.0 * g.mu)
+    return np.array([-rates[2] - B, B, C])
+
+
+@pytest.mark.parametrize("b", [GAUSS, sech2_potential(0.8, -0.5, 1.3)])
+def test_abc_pairing_matches_per_bin_pairings(grid, b):
+    for a in (-3.0, -0.4, 1.7):
+        for mu in (0.7, 1.0, 3.0):
+            g = GroupElement(a, 1.2, 0.3, mu)
+            got = abc_pairing(g, b, 1e-2, grid).as_array()
+            want = _per_bin_abc_pairing(g, b, 1e-2, grid)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (a, mu)
 
 
 def test_abc_pairing_constant_potential(grid):
