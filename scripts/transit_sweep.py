@@ -6,35 +6,26 @@ log-log slopes of the deviation suprema against eps.  Expected: slope
 >= 0.9 for a and mu, >= 0.6 for phi, >= 0.5 for the remainder norm.
 """
 
+import json
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from szego_lab.spectral_core import SpectralGrid
-from szego_lab.operators import gaussian_potential
-from szego_lab.soliton_manifold import GroupElement, soliton_profile
-from szego_lab.dynamics import EffectiveState, evolve_effective, evolve_pde
-from szego_lab.decomposition import theorem_metrics, track
+from szego_lab.cli import _run_tracked
 
-GRID = SpectralGrid(8192, 256.0)
-G0 = GroupElement(-3.0, 1.0, 0.0, 3.0)
-B = gaussian_potential(1.0, 0.0, 1.0)
-DELTA = 0.35
+TRANSIT = json.loads(
+    (Path(__file__).resolve().parents[1] / "configs" / "transit.json").read_text())
 
 
 def run_one(eps: float) -> dict:
-    t_final = round(eps ** -0.5, 4)
-    dt = 5e-4
-    t_final = round(t_final / (100 * dt)) * 100 * dt
-    u0 = soliton_profile(G0, GRID)
+    # eps^{-1/2}, rounded to whole samples of the transit's stride-100 comb
+    dt = TRANSIT["dt"]
+    t_final = round(round(eps ** -0.5, 4) / (100 * dt)) * 100 * dt
+    cfg = dict(TRANSIT, eps=eps, t_final={"policy": "fixed", "value": t_final})
     t0 = time.time()
-    traj = evolve_pde(u0, B, eps, t_final, dt, stride=100)
-    eff = evolve_effective(EffectiveState(0.0, G0), B, eps, t_final,
-                           t_eval=traj.times, grid=GRID,
-                           rtol=1e-11, atol=1e-13)
-    rep = track(traj, B, eps, eff, g0=G0)
-    m = theorem_metrics(rep, eps, DELTA)
+    _, m = _run_tracked(cfg)
     m["runtime_s"] = time.time() - t0
     print(f"eps={eps:g}  T={t_final:g}  sup|w|_H12={m['sup_w_h12']:.4e}  "
           f"sup|mu-mu_eff|={m['sup_dev_mu']:.4e}  c_fit={m['c_fit']:.3f}  "

@@ -6,27 +6,21 @@ fitted constant must not move by more than a factor of two when eps
 is halved, otherwise the bound shape is wrong.
 """
 
+import json
 import sys
+from pathlib import Path
 
-from szego_lab.spectral_core import SpectralGrid
-from szego_lab.operators import gaussian_potential
-from szego_lab.soliton_manifold import GroupElement, soliton_profile
-from szego_lab.dynamics import EffectiveState, evolve_effective, evolve_pde
-from szego_lab.decomposition import theorem_metrics, track
+from szego_lab.cli import _run_tracked
 
-GRID = SpectralGrid(8192, 256.0)
-G0 = GroupElement(-3.0, 1.0, 0.0, 3.0)
-B = gaussian_potential(1.0, 0.0, 1.0)
+TRANSIT = json.loads(
+    (Path(__file__).resolve().parents[1] / "configs" / "transit.json").read_text())
 
 
 def c_fit(eps: float) -> float:
-    dt = 5e-4
+    dt = TRANSIT["dt"]
     t_final = round((eps ** -0.5) / (100 * dt)) * 100 * dt
-    traj = evolve_pde(soliton_profile(G0, GRID), B, eps, t_final, dt, stride=100)
-    eff = evolve_effective(EffectiveState(0.0, G0), B, eps, t_final,
-                           t_eval=traj.times, grid=GRID, rtol=1e-11, atol=1e-13)
-    rep = track(traj, B, eps, eff, g0=G0)
-    return theorem_metrics(rep, eps, 0.35)["c_fit"]
+    cfg = dict(TRANSIT, eps=eps, t_final={"policy": "fixed", "value": t_final})
+    return _run_tracked(cfg)[1]["c_fit"]
 
 
 def main() -> int:

@@ -66,6 +66,7 @@ from .decomposition import (
     DegenerateParametrizationError,
     reparametrize,
     x_vector,
+    Tracker,
     track,
     theorem_metrics,
 )

@@ -59,6 +59,7 @@ from .dynamics import (
     free_flow,
 )
 from .decomposition import (
+    Tracker,
     TubularNeighborhoodError,
     theorem_metrics,
     track,
@@ -149,6 +150,9 @@ def validate_config(cfg: dict, need_sweep: bool = False) -> list:
             r = [el[i] / el[i + 1] for i in range(len(el) - 1)]
             _check(e, "eps_list", max(r) / min(r) < 1 + 1e-9,
                    "values must be geometrically spaced")
+    if not e:
+        _check(e, "t_final", run_horizon(cfg) >= dt,
+               f"horizon {horizon(cfg):.6g} is shorter than one dt step")
     return e
 
 
@@ -222,12 +226,16 @@ def cmd_simulate(cfg: dict, outdir: str, with_plots: bool) -> int:
     b = build_potential(cfg)
     eps = float(cfg["eps"])
     u0 = soliton_profile(build_g0(cfg), grid)
-    traj = evolve_pde(u0, b, eps, run_horizon(cfg),
-                      float(cfg.get("dt", 5e-4)), int(cfg.get("stride", 100)))
-    norms_l2 = [f.norm_l2() for f in traj.fields]
-    norms_h12 = [sobolev_norm(f, 0.5) for f in traj.fields]
-    masses = [mass(f) for f in traj.fields]
-    hams = [hamiltonian(f, b, eps) for f in traj.fields]
+    norms_l2, norms_h12, masses, hams = [], [], [], []
+
+    def on_sample(t, f):
+        norms_l2.append(f.norm_l2())
+        norms_h12.append(sobolev_norm(f, 0.5))
+        masses.append(mass(f))
+        hams.append(hamiltonian(f, b, eps))
+
+    traj = evolve_pde(u0, b, eps, run_horizon(cfg), float(cfg.get("dt", 5e-4)),
+                      int(cfg.get("stride", 100)), on_sample=on_sample)
     _write_csv(os.path.join(outdir, "fields.csv"),
                ["t", "norm_L2", "norm_H12", "mass", "hamiltonian"],
                [traj.times, norms_l2, norms_h12, masses, hams])
@@ -268,19 +276,21 @@ def cmd_effective(cfg: dict, outdir: str, with_plots: bool) -> int:
 
 
 def _run_tracked(cfg: dict):
-    """PDE run, effective comparison from the same initial point, and
-    the decomposition report; shared by track and sweep."""
+    """The tracked run of track, sweep and the scripts: the effective
+    run at the sample times, then one PDE pass that streams each sample
+    into the decomposition, so no sample is kept."""
     grid = build_grid(cfg)
     b = build_potential(cfg)
     eps = float(cfg["eps"])
     g0 = build_g0(cfg)
-    u0 = soliton_profile(g0, grid)
-    traj = evolve_pde(u0, b, eps, run_horizon(cfg),
-                      float(cfg.get("dt", 5e-4)), int(cfg.get("stride", 100)))
-    eff = evolve_effective(EffectiveState(0.0, g0), b, eps,
-                           float(traj.times[-1]), t_eval=traj.times,
-                           grid=grid, rtol=1e-11, atol=1e-13)
-    report = track(traj, b, eps, eff, g0=g0)
+    times = _sample_times(cfg)
+    eff = evolve_effective(EffectiveState(0.0, g0), b, eps, float(times[-1]),
+                           t_eval=times, grid=grid, rtol=1e-11, atol=1e-13)
+    tracker = Tracker(grid, g0)
+    traj = evolve_pde(soliton_profile(g0, grid), b, eps, run_horizon(cfg),
+                      float(cfg.get("dt", 5e-4)), int(cfg.get("stride", 100)),
+                      on_sample=tracker.add)
+    report = tracker.report(b, eps, eff)
     metrics = theorem_metrics(report, eps, float(cfg.get("delta", 0.35)))
     metrics["mass_drift"] = traj.mass_drift
     metrics["hamiltonian_drift"] = traj.hamiltonian_drift

@@ -47,6 +47,7 @@ __all__ = [
     "DegenerateParametrizationError",
     "reparametrize",
     "x_vector",
+    "Tracker",
     "track",
     "theorem_metrics",
 ]
@@ -171,24 +172,28 @@ def _exact_w_norms(u_pos: np.ndarray, g: GroupElement, grid: SpectralGrid):
     return wl2, wh12
 
 
-def reparametrize(u: HardyField, g_guess: GroupElement) -> Decomposition:
-    """Unique decomposition u = g.(eta + w) with w symplectically
-    orthogonal to all four generator directions along the family.
-
-    Newton-iterates the group parameters from g_guess; raises
-    TubularNeighborhoodError when the iteration cannot converge or the
-    converged remainder exceeds the tubular radius, and
-    DegenerateParametrizationError when the 4x4 system degenerates.
-    """
+def _decompose(u: HardyField, g_guess: GroupElement):
+    """(g, iterations, residual, |w|_L2, |w|_H12) of u, Newton-iterated
+    from g_guess; raises TubularNeighborhoodError when the iteration
+    cannot converge or the remainder exceeds the tubular radius, and
+    DegenerateParametrizationError when the 4x4 system degenerates."""
     grid = u.grid
     u_pos = u.spectrum[grid.nonneg]
-    norm_u = u.norm_l2()
-    g, iters, resid = _newton(u_pos, g_guess, grid, norm_u)
+    g, iters, resid = _newton(u_pos, g_guess, grid, u.norm_l2())
     wl2, wh12 = _exact_w_norms(u_pos, g, grid)
     if wh12 > TUBULAR_RADIUS:
         raise TubularNeighborhoodError(
             f"remainder H^(1/2) norm {wh12:.3g} exceeds the tubular radius "
             f"{TUBULAR_RADIUS}")
+    return g, iters, resid, wl2, wh12
+
+
+def reparametrize(u: HardyField, g_guess: GroupElement) -> Decomposition:
+    """Unique decomposition u = g.(eta + w) with w symplectically
+    orthogonal to all four generator directions along the family
+    (errors as in _decompose)."""
+    grid = u.grid
+    g, iters, resid, wl2, wh12 = _decompose(u, g_guess)
     eta = soliton_profile(GroupElement(0.0, 1.0, 0.0, 1.0), grid)
     pulled = act(inverse(g), u)
     w = HardyField(grid, pulled.values - eta.values)
@@ -301,66 +306,76 @@ def _gdot_series(times: np.ndarray, params: np.ndarray) -> np.ndarray:
     return out
 
 
+class Tracker:
+    """Incremental form of track: add(t, u) decomposes one sample as it
+    is made and keeps only its parameters and norms, so a streamed run
+    (evolve_pde with on_sample=tracker.add) holds no fields; report()
+    then measures the run.
+    """
+
+    def __init__(self, grid: SpectralGrid, g0: GroupElement = None):
+        self.grid = grid
+        self.g0 = g0 if g0 is not None else GroupElement(0.0, 1.0, 0.0, 1.0)
+        self.rows = []      # (t, g, |w|_L2, |w|_H12, Newton iterations, mass residual)
+        self.m0 = None
+
+    def add(self, t: float, u: HardyField) -> None:
+        if self.rows:
+            t_prev, g_prev = self.rows[-1][:2]
+            guess = _warm_guess(g_prev, t - t_prev, self.grid)
+        else:
+            self.m0, guess = mass(u), self.g0
+        try:
+            g, it, _, l2, h12 = _decompose(u, guess)
+        except (TubularNeighborhoodError, DegenerateParametrizationError) as e:
+            raise type(e)(f"t = {t:.6g}: {e}") from e
+        fam = g.alpha**2 * family_mass_constant(g.mu, self.grid)
+        m_res = abs(g.alpha**2 * g.mu * l2**2 + fam - self.m0) / self.m0
+        self.rows.append((t, g, l2, h12, it, m_res))
+
+    def report(self, b: PotentialSpec, eps: float,
+               effective_trajectory=None) -> TrackReport:
+        """The defect ||X|| from differenced parameter velocities,
+        deviations against an effective run sampled at the same times,
+        and the mu window."""
+        grid = self.grid
+        t, g_series, wl2, wh12, iters, m_res = (list(c) for c in zip(*self.rows))
+        times = np.array(t, dtype=float)
+        n = times.size
+        P = np.array([g.as_array() for g in g_series])
+        mu0 = P[0, 3]
+        mu_ok = bool(np.all((P[:, 3] >= mu0 / 2.0) & (P[:, 3] <= 1.5 * mu0)))
+
+        gdot = _gdot_series(times, P)
+        x_norm = np.full(n, np.nan)
+        for k in range(n):
+            if np.all(np.isfinite(gdot[k])):
+                x_norm[k] = x_vector(g_series[k], gdot[k], b, eps, grid=grid).norm()
+
+        deviations = None
+        if effective_trajectory is not None:
+            if len(effective_trajectory) != n:
+                raise ValueError("effective trajectory not aligned with samples")
+            E = np.array([s.g.as_array() for s in effective_trajectory])
+            deviations = np.abs(P - E)
+
+        return TrackReport(times, g_series, np.array(wh12), x_norm, deviations,
+                           np.array(wl2), np.array(m_res), np.array(iters),
+                           mu_ok, eps)
+
+
 def track(pde_trajectory: PdeTrajectory, b: PotentialSpec, eps: float,
           effective_trajectory=None, g0: GroupElement = None) -> TrackReport:
-    """Extract (a, alpha, phi, mu) along a sampled run and measure the
+    """Extract (a, alpha, phi, mu) along a stored run and measure the
     Theorem-style quantities: the remainder norms, the defect ||X||
     from differenced parameter velocities, deviations against an
-    effective-run comparison, and the family mass identity.
+    effective-run comparison, and the family mass identity.  A Tracker
+    fed the stored samples in order.
     """
-    grid = pde_trajectory.grid
-    times = np.asarray(pde_trajectory.times, dtype=float)
-    n = times.size
-    guess = g0 if g0 is not None else GroupElement(0.0, 1.0, 0.0, 1.0)
-    m0 = mass(pde_trajectory.fields[0])
-
-    g_series = []
-    wl2 = np.empty(n)
-    wh12 = np.empty(n)
-    iters = np.empty(n, dtype=int)
-    mass_res = np.empty(n)
-    for k in range(n):
-        u = pde_trajectory.fields[k]
-        u_pos = u.spectrum[grid.nonneg]
-        try:
-            g, it, _ = _newton(u_pos, guess, grid, u.norm_l2())
-        except (TubularNeighborhoodError, DegenerateParametrizationError) as e:
-            raise type(e)(f"t = {times[k]:.6g}: {e}") from e
-        l2, h12 = _exact_w_norms(u_pos, g, grid)
-        if h12 > TUBULAR_RADIUS:
-            raise TubularNeighborhoodError(
-                f"t = {times[k]:.6g}: remainder H^(1/2) norm {h12:.3g} "
-                f"exceeds the tubular radius {TUBULAR_RADIUS}")
-        g_series.append(g)
-        wl2[k] = l2
-        wh12[k] = h12
-        iters[k] = it
-        fam = g.alpha**2 * family_mass_constant(g.mu, grid)
-        mass_res[k] = abs(g.alpha**2 * g.mu * l2**2 + fam - m0) / m0
-        if k + 1 < n:
-            guess = _warm_guess(g, float(times[k + 1] - times[k]), grid)
-
-    P = np.array([g.as_array() for g in g_series])
-    mu0 = P[0, 3]
-    mu_ok = bool(np.all((P[:, 3] >= mu0 / 2.0) & (P[:, 3] <= 1.5 * mu0)))
-
-    gdot = _gdot_series(times, P)
-    x_norm = np.full(n, np.nan)
-    for k in range(n):
-        if np.all(np.isfinite(gdot[k])):
-            X = x_vector(g_series[k], gdot[k], b, eps, grid=grid)
-            x_norm[k] = X.norm()
-
-    deviations = None
-    if effective_trajectory is not None:
-        eff = effective_trajectory
-        if len(eff) != n:
-            raise ValueError("effective trajectory not aligned with samples")
-        E = np.array([s.g.as_array() for s in eff])
-        deviations = np.abs(P - E)
-
-    return TrackReport(times, g_series, wh12, x_norm, deviations,
-                       wl2, mass_res, iters, mu_ok, eps)
+    tracker = Tracker(pde_trajectory.grid, g0)
+    for t, u in zip(pde_trajectory.times, pde_trajectory.fields):
+        tracker.add(float(t), u)
+    return tracker.report(b, eps, effective_trajectory)
 
 
 _DEVIATION_POWERS = {

@@ -197,26 +197,31 @@ class PdeTrajectory:
 
 def evolve_pde(u0: HardyField, b: PotentialSpec = None, eps: float = 0.0,
                t_final: float = 1.0, dt: float = 1e-3,
-               stride: int = 10) -> PdeTrajectory:
+               stride: int = 10, on_sample=None) -> PdeTrajectory:
     """Classical fourth-order integration of pde_rhs.
 
     The Hardy projection is applied inside every stage evaluation; the
     nonlinearity has no derivatives of u, so there is no step-size
     stability constraint beyond accuracy.  The state is stepped in raw
     FFT coordinates (_raw_rhs), so the continuum phases are applied only
-    when a sample is taken.  Samples are kept every `stride` steps (plus
-    the final step).
+    when a sample is taken: every `stride` steps, plus t = 0 and the
+    final step.  Each sample goes to `on_sample(t, field)` as it is made.
+    The default sink keeps it in the returned `fields`; with any other,
+    `fields` stays empty and memory does not grow with the sample count.
     """
     grid = u0.grid
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ValueError("t_final must be an integer number of steps")
     eb = eps * b.on_grid(grid) if (b is not None and eps != 0.0) else None
+    fields = []
+    on_sample = on_sample or (lambda t, f: fields.append(f))
     U = np.where(grid.nonneg, u0.spectrum, 0.0)
     times = [0.0]
-    fields = [HardyField(grid, from_spectrum(grid, U), _spectrum=U)]
-    m0 = mass(fields[0])
-    h0 = hamiltonian(fields[0], b, eps)
+    f = HardyField(grid, from_spectrum(grid, U), _spectrum=U)
+    m0 = mass(f)
+    h0 = hamiltonian(f, b, eps)
+    on_sample(0.0, f)
     m_drift = 0.0
     h_drift = 0.0
     h_scale = max(abs(h0), 1e-30)
@@ -226,8 +231,10 @@ def evolve_pde(u0: HardyField, b: PotentialSpec = None, eps: float = 0.0,
     V = U * grid._inv_phase
     Y = np.empty_like(V)
     acc = np.empty_like(V)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_steps + 1):
+    for k in range(1, n_steps + 1):
+        # a diverging step is reported below, not warned about; the
+        # sample consumers keep the caller's error state
+        with np.errstate(over="ignore", invalid="ignore"):
             K = _raw_rhs(V, eb)
             np.multiply(K, dt / 6.0, out=acc)
             for offset, weight in stages:
@@ -237,15 +244,15 @@ def evolve_pde(u0: HardyField, b: PotentialSpec = None, eps: float = 0.0,
                 np.multiply(K, weight, out=Y)
                 acc += Y
             V += acc
-            if not np.all(np.isfinite(V)):
-                raise DivergenceError(f"non-finite field at step {k} (t={k * dt:.6g})")
-            if k % stride == 0 or k == n_steps:
-                S = V * grid._fwd_phase
-                f = HardyField(grid, from_spectrum(grid, S), _spectrum=S)
-                times.append(k * dt)
-                fields.append(f)
-                m_drift = max(m_drift, abs(mass(f) - m0) / m0)
-                h_drift = max(h_drift, abs(hamiltonian(f, b, eps) - h0) / h_scale)
+        if not np.all(np.isfinite(V)):
+            raise DivergenceError(f"non-finite field at step {k} (t={k * dt:.6g})")
+        if k % stride == 0 or k == n_steps:
+            S = V * grid._fwd_phase
+            f = HardyField(grid, from_spectrum(grid, S), _spectrum=S)
+            times.append(k * dt)
+            on_sample(k * dt, f)
+            m_drift = max(m_drift, abs(mass(f) - m0) / m0)
+            h_drift = max(h_drift, abs(hamiltonian(f, b, eps) - h0) / h_scale)
     return PdeTrajectory(grid, np.array(times), fields, m_drift, h_drift, eps, dt)
 
 

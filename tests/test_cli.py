@@ -1,12 +1,27 @@
+import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from szego_lab.cli import build_g0, build_potential, horizon, main, validate_config
+from szego_lab.cli import (
+    _run_tracked,
+    _sample_times,
+    build_g0,
+    build_grid,
+    build_potential,
+    horizon,
+    main,
+    run_horizon,
+    validate_config,
+)
+from szego_lab.decomposition import TrackReport, theorem_metrics, track
+from szego_lab.dynamics import EffectiveState, evolve_effective, evolve_pde
+from szego_lab.soliton_manifold import soliton_profile
 
 
 def tiny_config(**overrides):
@@ -68,6 +83,22 @@ def test_validate_config_checks_horizon_policy():
     assert any("c0_fit" in e for e in validate_config(cfg_bad))
     cfg_unknown = tiny_config(t_final={"policy": "whenever"})
     assert any("t_final" in e for e in validate_config(cfg_unknown))
+
+
+def test_zero_step_horizon_is_config_error(tmp_path):
+    # a theorem horizon of 0.0018 holds no step of dt = 5e-3
+    cfg = tiny_config(eps=0.9, dt=5e-3,
+                      t_final={"policy": "theorem_horizon", "c0_fit": 32.0})
+    assert run_horizon(cfg) == 0.0
+    assert any(e.startswith("t_final") for e in validate_config(cfg))
+    path = write_config(tmp_path, cfg)
+    for command in ("track", "simulate"):
+        assert main([command, "--config", path,
+                     "--out", str(tmp_path / command)]) == 2
+    short = tiny_config(t_final={"policy": "fixed", "value": 0.5e-3})
+    assert any(e.startswith("t_final") for e in validate_config(short))
+    assert validate_config(tiny_config(t_final={"policy": "fixed",
+                                                "value": 1e-3})) == []
 
 
 def test_sweep_needs_eps_list():
@@ -221,3 +252,54 @@ def test_sweep_parallel_matches_serial(tmp_path):
         for name in ("track.csv", "metrics.json"):
             got, want = (o / f"eps_{eps:g}" / name for o in outs)
             assert got.read_bytes() == want.read_bytes(), (eps, name)
+
+
+# ------------------------------------------------------------ streamed runs
+
+
+def test_streamed_run_matches_stored_track():
+    # the streamed pipeline against track over a run that keeps its fields
+    cfg = tiny_config(stride=1, t_final={"policy": "fixed", "value": 0.05})
+    report, metrics = _run_tracked(cfg)
+
+    grid, b, g0, eps = build_grid(cfg), build_potential(cfg), build_g0(cfg), 0.01
+    traj = evolve_pde(soliton_profile(g0, grid), b, eps, run_horizon(cfg),
+                      cfg["dt"], 1)
+    assert len(traj.fields) == traj.times.size == 51
+    assert np.array_equal(_sample_times(cfg), traj.times)
+    eff = evolve_effective(EffectiveState(0.0, g0), b, eps,
+                           float(traj.times[-1]), t_eval=traj.times,
+                           grid=grid, rtol=1e-11, atol=1e-13)
+    assert [s.t for s in eff] == list(traj.times)
+    want = track(traj, b, eps, eff, g0=g0)
+
+    for f in dataclasses.fields(TrackReport):
+        got, exp = getattr(report, f.name), getattr(want, f.name)
+        if f.name == "g_series":
+            got = [g.as_array() for g in got]
+            exp = [g.as_array() for g in exp]
+        assert np.array_equal(got, exp, equal_nan=True), f.name
+    want_metrics = theorem_metrics(want, eps, cfg["delta"])
+    want_metrics["mass_drift"] = traj.mass_drift
+    want_metrics["hamiltonian_drift"] = traj.hamiltonian_drift
+    want_metrics["max_newton_iters"] = int(want.newton_iters.max())
+    want_metrics["max_mass_identity_residual"] = float(want.mass_residual.max())
+    assert json.dumps(metrics, sort_keys=True) == \
+        json.dumps(want_metrics, sort_keys=True)
+
+
+def test_streamed_run_memory_does_not_grow_with_samples():
+    def peak(t_final):
+        cfg = tiny_config(stride=1, t_final={"policy": "fixed", "value": t_final})
+        tracemalloc.start()
+        try:
+            _run_tracked(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(0.05)                      # first call fills the module caches
+    short, long = peak(0.05), peak(0.1)
+    # 50 more samples; a kept sample holds values and spectrum
+    field_bytes = 2 * tiny_config()["grid"]["n"] * 16
+    assert long - short < 0.1 * 50 * field_bytes, (short, long)
