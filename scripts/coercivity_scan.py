@@ -5,39 +5,23 @@ generator directions of the soliton family, and reports the observed
 minimum of <Lw, w> / ||w||_H12^2.  The theory puts the constant at
 1/4; anything below ~0.24 at the default grid indicates a projection
 or operator bug.
+
+    python3 scripts/coercivity_scan.py [samples]     (default 200)
 """
 
 import sys
 
 import numpy as np
 
-from szego_lab.spectral_core import (
-    HardyField,
-    SpectralGrid,
-    from_spectrum,
-    inner_real,
-    random_hardy_field,
-    sobolev_norm,
-)
-from szego_lab.operators import linearized_apply
-from szego_lab.soliton_manifold import generator_spectra, manifold_project
+from szego_lab.checks import coercivity_quotients
+from szego_lab.spectral_core import SpectralGrid
 
 
-def main() -> int:
-    n_samples = int(sys.argv[1]) if len(sys.argv) > 1 else 200
-    grid = SpectralGrid(8192, 256.0)
-    rng = np.random.default_rng(1)
-    E = generator_spectra(grid)
-    ratios = []
-    for _ in range(n_samples):
-        w = random_hardy_field(grid, rng)
-        y = manifold_project(w).as_array()
-        spec = w.spectrum.copy()
-        spec -= sum(y[k] * E[k] for k in range(4))
-        wp = HardyField(grid, from_spectrum(grid, spec), _spectrum=spec)
-        ratios.append(inner_real(wp, linearized_apply(wp))
-                      / sobolev_norm(wp, 0.5) ** 2)
-    r = np.array(ratios)
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    n_samples = int(argv[0]) if argv else 200
+    r = coercivity_quotients(SpectralGrid(8192, 256.0), np.random.default_rng(1),
+                             n_samples)
     print(f"samples          {n_samples}")
     print(f"min ratio        {r.min():.6f}")
     print(f"median ratio     {np.median(r):.6f}")

@@ -2,10 +2,10 @@
 
 Subcommands: simulate (PDE run + conservation report), effective
 (parameter ODE), track (PDE + effective + decomposition report),
-sweep (several eps values, scaling regression), validate (built-in
-check suite).  One JSON config drives everything; outputs are CSV and
-JSON (plus optional SVG), written with fixed 17-significant-digit
-formatting so identical config and seed give byte-identical files.
+sweep (several eps values, scaling regression), validate (the check
+table of checks.py).  One JSON config drives everything; outputs are
+CSV and JSON (plus optional SVG), written with fixed 17-significant-digit
+formatting so an identical config gives byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,53 +19,24 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .spectral_core import (
-    HardyField,
-    SpectralGrid,
-    eta_field,
-    from_spectrum,
-    inner_real,
-    random_hardy_field,
-    random_rational_field,
-    sobolev_norm,
-)
+from .spectral_core import SpectralGrid, sobolev_norm
 from .operators import (
     constant_potential,
     gaussian_potential,
     hamiltonian,
-    hankel_apply,
-    hankel_rank,
-    kernel_witness,
-    linearized_apply,
     mass,
     sech2_potential,
     table_potential,
 )
-from .soliton_manifold import (
-    MU_MAX,
-    MU_MIN,
-    GroupElement,
-    generator_spectra,
-    manifold_project,
-    omega_eta_matrix,
-    soliton_profile,
-)
-from .dynamics import (
-    DivergenceError,
-    EffectiveState,
-    effective_rhs,
-    evolve_effective,
-    evolve_pde,
-    free_flow,
-)
+from .soliton_manifold import MU_MAX, MU_MIN, GroupElement, soliton_profile
+from .dynamics import DivergenceError, EffectiveState, evolve_effective, evolve_pde
 from .decomposition import (
     Tracker,
     TubularNeighborhoodError,
     theorem_metrics,
-    track,
-    x_vector,
+    track,  # unused here; perfbench's tracer wraps cli.track at install
 )
-from . import plots
+from . import checks, plots
 
 _POTENTIAL_KINDS = ("gaussian", "sech2", "constant", "table")
 
@@ -139,8 +110,6 @@ def validate_config(cfg: dict, need_sweep: bool = False) -> list:
     stride = cfg.get("stride", 100)
     _check(e, "stride", isinstance(stride, int) and stride >= 1,
            "must be an integer >= 1")
-    seed = cfg.get("seed", 0)
-    _check(e, "seed", isinstance(seed, int), "must be an integer")
     if need_sweep:
         el = cfg.get("eps_list")
         if not (isinstance(el, list) and len(el) >= 3
@@ -256,36 +225,39 @@ def cmd_simulate(cfg: dict, outdir: str, with_plots: bool) -> int:
     return 0
 
 
-def cmd_effective(cfg: dict, outdir: str, with_plots: bool) -> int:
-    b = build_potential(cfg)
-    eps = float(cfg["eps"])
+def _effective_run(cfg: dict, grid: SpectralGrid, b, g0: GroupElement) -> list:
+    """The reduced flow on the grid route at the sample times: what
+    effective writes and what track compares against."""
     times = _sample_times(cfg)
-    states = evolve_effective(EffectiveState(0.0, build_g0(cfg)), b, eps,
-                              float(times[-1]), t_eval=times)
-    P = np.array([s.g.as_array() for s in states])
+    return evolve_effective(EffectiveState(0.0, g0), b, float(cfg["eps"]),
+                            float(times[-1]), t_eval=times, grid=grid,
+                            rtol=1e-11, atol=1e-13)
+
+
+def cmd_effective(cfg: dict, outdir: str, with_plots: bool) -> int:
+    states = _effective_run(cfg, build_grid(cfg), build_potential(cfg),
+                            build_g0(cfg))
+    times = [s.t for s in states]
+    params = list(np.array([s.g.as_array() for s in states]).T)
     _write_csv(os.path.join(outdir, "effective.csv"),
-               ["t", "a", "alpha", "phi", "mu"],
-               [times, P[:, 0], P[:, 1], P[:, 2], P[:, 3]])
+               ["t", "a", "alpha", "phi", "mu"], [times] + params)
     if with_plots:
-        plots.line_plot(os.path.join(outdir, "effective.svg"), times,
-                        [P[:, 0], P[:, 1], P[:, 2], P[:, 3]],
+        plots.line_plot(os.path.join(outdir, "effective.svg"), times, params,
                         labels=["a", "alpha", "phi", "mu"],
                         title="effective parameters", xlabel="t")
-    print(f"effective: {times.size} samples -> {outdir}/effective.csv")
+    print(f"effective: {len(times)} samples -> {outdir}/effective.csv")
     return 0
 
 
 def _run_tracked(cfg: dict):
-    """The tracked run of track, sweep and the scripts: the effective
-    run at the sample times, then one PDE pass that streams each sample
-    into the decomposition, so no sample is kept."""
+    """The tracked run of track and sweep: the effective run at the
+    sample times, then one PDE pass that streams each sample into the
+    decomposition, so no sample is kept."""
     grid = build_grid(cfg)
     b = build_potential(cfg)
     eps = float(cfg["eps"])
     g0 = build_g0(cfg)
-    times = _sample_times(cfg)
-    eff = evolve_effective(EffectiveState(0.0, g0), b, eps, float(times[-1]),
-                           t_eval=times, grid=grid, rtol=1e-11, atol=1e-13)
+    eff = _effective_run(cfg, grid, b, g0)
     tracker = Tracker(grid, g0)
     traj = evolve_pde(soliton_profile(g0, grid), b, eps, run_horizon(cfg),
                       float(cfg.get("dt", 5e-4)), int(cfg.get("stride", 100)),
@@ -388,84 +360,18 @@ def cmd_sweep(cfg: dict, outdir: str, with_plots: bool, parallel: int) -> int:
     return 0
 
 
-def _validate_checks(seed: int):
-    """The built-in check suite: (name, passed, measured, bound)."""
-    grid = SpectralGrid(8192, 256.0)
-    tol_tail = max(1e-8, 10.0 / grid.box_length)
-    rng = np.random.default_rng(seed)
-    out = []
-
-    M = omega_eta_matrix(grid)
-    ref = {(0, 1): -np.pi / 2, (0, 2): 0.0, (0, 3): -np.pi / 2,
-           (1, 2): -np.pi, (1, 3): 0.0, (2, 3): np.pi / 2}
-    err = max(abs(M[i, j] - v) for (i, j), v in ref.items())
-    out.append(("symplectic_table", err < tol_tail, err, tol_tail))
-
-    eta = eta_field(grid)
-    E = generator_spectra(grid)
-    worst = np.inf
-    for _ in range(20):
-        w = random_hardy_field(grid, rng)
-        y = manifold_project(w)
-        spec = w.spectrum.copy()
-        spec -= sum(y.as_array()[k] * E[k] for k in range(4))
-        wp = HardyField(grid, from_spectrum(grid, spec), _spectrum=spec)
-        ratio = inner_real(wp, linearized_apply(wp)) / sobolev_norm(wp, 0.5) ** 2
-        worst = min(worst, ratio)
-    out.append(("coercivity", worst >= 0.24, worst, 0.24))
-
-    eta2 = HardyField(grid, eta.values ** 2)
-    r1 = hankel_rank(eta).rank_estimate
-    r2 = hankel_rank(eta2).rank_estimate
-    out.append(("kronecker_ranks", (r1, r2) == (1, 2), float(r1 * 10 + r2), 12.0))
-
-    worst = 0.0
-    for _ in range(5):
-        h = random_rational_field(grid, rng)
-        kw = kernel_witness(h)
-        resid = hankel_apply(eta2, kw).norm_l2() / h.norm_l2()
-        worst = max(worst, resid)
-    out.append(("kernel_witness", worst < 1e-6, worst, 1e-6))
-
-    g0 = GroupElement(0.0, 1.0, 0.0, 1.0)
-    traj = evolve_pde(soliton_profile(g0, grid), None, 0.0, 2.0, 1e-3, 500)
-    ref_f = soliton_profile(free_flow(g0, 2.0, grid), grid)
-    dev = np.sqrt(np.sum(np.abs(traj.fields[-1].spectrum - ref_f.spectrum) ** 2)
-                  / grid.box_length)
-    out.append(("exact_flow", dev < 1e-6, dev, 1e-6))
-
-    b = gaussian_potential(1.0, 0.0, 1.0)
-    g0 = GroupElement(-3.0, 1.0, 0.0, 3.0)
-    traj = evolve_pde(soliton_profile(g0, grid), b, 1e-2, 2.0, 1e-3, 100)
-    cons_ok = traj.mass_drift < 1e-8 and traj.hamiltonian_drift < 1e-7
-    out.append(("conservation", cons_ok,
-                max(traj.mass_drift, traj.hamiltonian_drift), 1e-7))
-
-    rep = track(traj, b, 1e-2, g0=g0)
-    mres = float(rep.mass_residual.max())
-    out.append(("mass_identity", mres < 1e-6, mres, 1e-6))
-
-    worst = 0.0
-    for _ in range(20):
-        g = GroupElement(rng.uniform(-5, 5), rng.uniform(0.7, 1.4),
-                         rng.uniform(-3, 3), rng.uniform(0.7, 1.4))
-        gd = effective_rhs(EffectiveState(0.0, g), b, 1e-2)
-        worst = max(worst, x_vector(g, gd, b, 1e-2).norm())
-    out.append(("effective_fixed_point", worst < 1e-9, worst, 1e-9))
-    return out
-
-
-def cmd_validate(outdir: str, seed: int) -> int:
-    checks = _validate_checks(seed)
-    width = max(len(name) for name, *_ in checks)
-    for name, ok, value, bound in checks:
+def cmd_validate(outdir: str) -> int:
+    suite = checks.Suite()
+    width = max(len(row[0]) for row in checks.VALIDATE_ROWS)
+    results = {}
+    for name, measure, compare, bound in checks.VALIDATE_ROWS:
+        value = float(measure(suite))
+        ok = bool(compare(value, bound))
         print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  "
               f"(measured {value:.3e}, bound {bound:.3e})")
-    _write_json(os.path.join(outdir, "validate.json"),
-                {name: {"passed": bool(ok), "measured": float(value),
-                        "bound": float(bound)}
-                 for name, ok, value, bound in checks})
-    return 0 if all(ok for _, ok, *_ in checks) else 1
+        results[name] = {"passed": ok, "measured": value, "bound": float(bound)}
+    _write_json(os.path.join(outdir, "validate.json"), results)
+    return 0 if all(r["passed"] for r in results.values()) else 1
 
 
 def main(argv=None) -> int:
@@ -480,16 +386,6 @@ def main(argv=None) -> int:
     ap.add_argument("--parallel", type=int, default=1,
                     help="sweep worker pool size")
     args = ap.parse_args(argv)
-
-    parallel = args.parallel
-    env = os.environ.get("SZEGO_LAB_THREADS")
-    if env is not None:
-        try:
-            parallel = max(1, int(env))
-        except ValueError:
-            print(f"config error: SZEGO_LAB_THREADS={env!r} is not an integer",
-                  file=sys.stderr)
-            return 2
 
     cfg = {}
     if args.command != "validate":
@@ -510,7 +406,6 @@ def main(argv=None) -> int:
 
     outdir = args.out or cfg.get("outdir", ".")
     os.makedirs(outdir, exist_ok=True)
-    seed = int(cfg.get("seed", 0))
 
     try:
         if args.command == "simulate":
@@ -520,8 +415,8 @@ def main(argv=None) -> int:
         if args.command == "track":
             return cmd_track(cfg, outdir, args.plots)
         if args.command == "sweep":
-            return cmd_sweep(cfg, outdir, args.plots, parallel)
-        return cmd_validate(outdir, seed)
+            return cmd_sweep(cfg, outdir, args.plots, args.parallel)
+        return cmd_validate(outdir)
     except DivergenceError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1

@@ -78,7 +78,8 @@ class Decomposition:
 def _residual_and_jacobian(u_pos: np.ndarray, g: GroupElement,
                            grid: SpectralGrid):
     """Orthogonality residual R_j = omega(u - S(g), E_j(g)) and its
-    analytic 4x4 Jacobian in (a, alpha, phi, mu), from six moments.
+    analytic 4x4 Jacobian in (a, alpha, phi, mu), from six moments,
+    with the family shape exp(-xi/mu - i a xi) they were built on.
 
     With base = S / (-2 pi i), the frame E_j, its parameter derivatives
     and the tangents dS/dg_k are all base times a polynomial of degree
@@ -88,7 +89,8 @@ def _residual_and_jacobian(u_pos: np.ndarray, g: GroupElement,
     """
     al, mu = g.alpha, g.mu
     xi = grid.xi_pos
-    base = (np.exp(1j * g.phi) * al) * np.exp(-xi / mu - 1j * g.a * xi)
+    shape = np.exp(-xi / mu - 1j * g.a * xi)
+    base = (np.exp(1j * g.phi) * al) * shape
     bb = base.real * base.real + base.imag * base.imag
     ub = u_pos * np.conj(base)
     xi2 = xi * xi
@@ -107,24 +109,24 @@ def _residual_and_jacobian(u_pos: np.ndarray, g: GroupElement,
         [-y1, x0 / al, y0, x1 / mu**2],
         [x1, (y0 + 2 * Q0) / al, -x0, (y1 + 2 * Q1) / mu**2],
         [-y2 / mu, x1 / (al * mu), y1 / mu, (x2 / mu - x1) / mu**2]])
-    return R, J
+    return R, J, shape
 
 
 def _newton(u_pos: np.ndarray, g0: GroupElement, grid: SpectralGrid,
             norm_u: float):
     """Damped Newton on the four orthogonality conditions.
 
-    Returns (g, iterations, residual).  The residual reported is the
+    Returns (g, iterations, residual, shape at g).  The residual is the
     moving-frame value max_j |omega(w, e_j eta)|, which differs from
     the lab-frame pairing by the conformal factor alpha^2 mu.
     """
     g = g0
-    R, J = _residual_and_jacobian(u_pos, g, grid)
+    R, J, shape = _residual_and_jacobian(u_pos, g, grid)
     for it in range(MAX_NEWTON_ITERS + 1):
         scale = g.alpha**2 * g.mu
         resid = float(np.max(np.abs(R))) / scale
         if resid < 1e-11 * norm_u:
-            return g, it, resid
+            return g, it, resid, shape
         if it == MAX_NEWTON_ITERS:
             break
         if np.linalg.cond(J) > COND_LIMIT:
@@ -140,31 +142,32 @@ def _newton(u_pos: np.ndarray, g0: GroupElement, grid: SpectralGrid,
             trial = base + lam * step
             if (trial[1] > 0.05) and (0.05 < trial[3] < MU_MAX):
                 gt = GroupElement(*trial)
-                Rt, Jt = _residual_and_jacobian(u_pos, gt, grid)
+                Rt, Jt, st = _residual_and_jacobian(u_pos, gt, grid)
                 if float(np.linalg.norm(Rt)) <= (1.0 - 0.25 * lam) * nR + 1e-30:
-                    accepted = (gt, Rt, Jt)
+                    accepted = (gt, Rt, Jt, st)
                     break
             lam *= 0.5
         if accepted is None:
             raise TubularNeighborhoodError(
                 "Newton stalled: no damped step reduces the orthogonality "
                 "residual (field likely outside the tubular neighborhood)")
-        g, R, J = accepted
+        g, R, J, shape = accepted
     raise TubularNeighborhoodError(
         f"no convergence in {MAX_NEWTON_ITERS} Newton iterations "
         f"(last residual {resid:.3e})")
 
 
-def _exact_w_norms(u_pos: np.ndarray, g: GroupElement, grid: SpectralGrid):
-    """L2 and H^{1/2} norms of w evaluated in the lab frame.
+def _exact_w_norms(u_pos: np.ndarray, g: GroupElement, shape: np.ndarray,
+                   grid: SpectralGrid):
+    """L2 and H^{1/2} norms of w evaluated in the lab frame, given the
+    family shape at g from the last Newton evaluation.
 
     The conformal change of variables maps the moving-frame mode zeta
     onto xi = mu * zeta bin by bin, so both norms are plain weighted
     sums over the lab spectrum of u - S(g); no resampling enters.
     """
     xi = grid.xi_pos
-    S = (np.exp(1j * g.phi) * g.alpha * (-2j * np.pi)) \
-        * np.exp(-xi / g.mu - 1j * g.a * xi)
+    S = (np.exp(1j * g.phi) * g.alpha * (-2j * np.pi)) * shape
     d2 = np.abs(u_pos - S) ** 2
     scale = g.alpha**2 * g.mu * grid.box_length
     wl2 = float(np.sqrt(np.sum(d2) / scale))
@@ -179,8 +182,8 @@ def _decompose(u: HardyField, g_guess: GroupElement):
     DegenerateParametrizationError when the 4x4 system degenerates."""
     grid = u.grid
     u_pos = u.spectrum[grid.nonneg]
-    g, iters, resid = _newton(u_pos, g_guess, grid, u.norm_l2())
-    wl2, wh12 = _exact_w_norms(u_pos, g, grid)
+    g, iters, resid, shape = _newton(u_pos, g_guess, grid, u.norm_l2())
+    wl2, wh12 = _exact_w_norms(u_pos, g, shape, grid)
     if wh12 > TUBULAR_RADIUS:
         raise TubularNeighborhoodError(
             f"remainder H^(1/2) norm {wh12:.3g} exceeds the tubular radius "

@@ -11,39 +11,18 @@ import time
 import numpy as np
 import pytest
 
-from szego_lab.spectral_core import (
-    HardyField,
-    eta_field,
-    from_spectrum,
-    inner_real,
-    random_hardy_field,
-    random_rational_field,
-    sobolev_norm,
+from szego_lab.checks import (
+    coercivity_quotients,
+    effective_flow_defect,
+    free_flow_error,
+    hankel_ranks,
+    kernel_witness_residual,
+    symplectic_table_error,
 )
-from szego_lab.operators import (
-    gaussian_potential,
-    hankel_apply,
-    hankel_rank,
-    kernel_witness,
-    linearized_apply,
-    momentum,
-)
-from szego_lab.soliton_manifold import (
-    GroupElement,
-    generator_spectra,
-    identity,
-    manifold_project,
-    omega_eta_matrix,
-    soliton_profile,
-)
-from szego_lab.dynamics import (
-    EffectiveState,
-    effective_rhs,
-    evolve_effective,
-    evolve_pde,
-    free_flow,
-)
-from szego_lab.decomposition import reparametrize, theorem_metrics, track, x_vector
+from szego_lab.operators import gaussian_potential, momentum
+from szego_lab.soliton_manifold import GroupElement, identity, soliton_profile
+from szego_lab.dynamics import EffectiveState, evolve_effective, evolve_pde
+from szego_lab.decomposition import reparametrize, theorem_metrics, track
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:rescaled field exceeds the band limit")
@@ -95,16 +74,7 @@ def free_run(grid):
 
 def test_criterion_1_symplectic_table(grid):
     t0 = time.time()
-    M = omega_eta_matrix(grid)
-    table = np.array(
-        [
-            [0.0, -np.pi / 2, 0.0, -np.pi / 2],
-            [np.pi / 2, 0.0, -np.pi, 0.0],
-            [0.0, np.pi, 0.0, np.pi / 2],
-            [np.pi / 2, 0.0, -np.pi / 2, 0.0],
-        ]
-    )
-    worst = float(np.max(np.abs(M - table)))
+    worst = symplectic_table_error(grid)
     wall = time.time() - t0
     tol = max(1e-8, 10.0 / grid.box_length)
     _report(
@@ -116,21 +86,13 @@ def test_criterion_1_symplectic_table(grid):
 
 def test_criterion_2_exact_flow(grid, free_run):
     t0 = time.time()
-    ref = soliton_profile(free_flow(identity(), 10.0, grid), grid)
-    dev = np.sqrt(
-        np.sum(np.abs(free_run.fields[-1].values - ref.values) ** 2) * grid.dx
-    )
+    dev = free_flow_error(free_run, identity())
     # convergence order from a dt-halving ladder kept above the
     # square-root-of-n roundoff floor
     u0 = soliton_profile(identity(), grid)
-    ref16 = soliton_profile(free_flow(identity(), 1.6, grid), grid)
-    errs = []
-    for dt in (3.2e-2, 1.6e-2, 8e-3):
-        short = evolve_pde(u0, eps=0.0, t_final=1.6, dt=dt, stride=10**6)
-        errs.append(
-            np.sqrt(np.sum(np.abs(short.fields[-1].values - ref16.values) ** 2)
-                    * grid.dx)
-        )
+    errs = [free_flow_error(evolve_pde(u0, eps=0.0, t_final=1.6, dt=dt,
+                                       stride=10**6), identity())
+            for dt in (3.2e-2, 1.6e-2, 8e-3)]
     slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     wall = time.time() - t0
     ok = dev < 1e-6 and np.all(np.abs(slopes - 4.0) < 0.3) and wall < 60.0
@@ -165,18 +127,7 @@ def test_criterion_3_conservation(grid, free_run, transit):
 
 def test_criterion_4_coercivity(grid):
     t0 = time.time()
-    rg = np.random.default_rng(2024)
-    E = generator_spectra(grid)
-    worst = np.inf
-    for _ in range(50):
-        u = random_hardy_field(grid, rg)
-        y = manifold_project(u).as_array()
-        spec = u.spectrum.copy()
-        for k in range(4):
-            spec -= y[k] * E[k]
-        w = HardyField(grid, from_spectrum(grid, spec))
-        ratio = inner_real(linearized_apply(w), w) / sobolev_norm(w, 0.5) ** 2
-        worst = min(worst, ratio)
+    worst = coercivity_quotients(grid, np.random.default_rng(2024), 50).min()
     wall = time.time() - t0
     _report(
         "criterion-4 coercivity",
@@ -186,16 +137,8 @@ def test_criterion_4_coercivity(grid):
 
 
 def test_criterion_5_kernel_and_rank(grid):
-    eta = eta_field(grid)
-    symbol = HardyField(grid, eta.values**2)
-    rg = np.random.default_rng(77)
-    worst = 0.0
-    for _ in range(20):
-        h = random_rational_field(grid, rg)
-        image = hankel_apply(symbol, kernel_witness(h))
-        worst = max(worst, image.norm_l2() / h.norm_l2())
-    r1 = hankel_rank(eta, tol=1e-8).rank_estimate
-    r2 = hankel_rank(symbol, tol=1e-8).rank_estimate
+    worst = kernel_witness_residual(grid, np.random.default_rng(77), 20)
+    r1, r2 = hankel_ranks(grid)
     ok = worst < 1e-6 and r1 == 1 and r2 == 2
     _report(
         "criterion-5 kernel-and-rank",
@@ -233,13 +176,8 @@ def test_criterion_6_decomposition(grid, transit):
 
 
 def test_criterion_7_effective_fixed_point(grid):
-    rg = np.random.default_rng(500)
-    worst = 0.0
-    for _ in range(100):
-        g = GroupElement(rg.uniform(-5, 5), rg.uniform(0.7, 1.4),
-                         rg.uniform(-np.pi, np.pi), rg.uniform(0.5, 2.0))
-        rates = effective_rhs(EffectiveState(0.0, g), GAUSS, 1e-2, grid)
-        worst = max(worst, x_vector(g, rates, GAUSS, 1e-2, grid=grid).norm())
+    worst = effective_flow_defect(np.random.default_rng(500), 100, GAUSS, 1e-2,
+                                  grid, phi_max=np.pi, mu_range=(0.5, 2.0))
     states = evolve_effective(EffectiveState(0.0, TRANSIT_G0), GAUSS, 1e-2,
                               10.0, t_eval=np.linspace(0.0, 10.0, 21))
     inv0 = TRANSIT_G0.alpha**2 * TRANSIT_G0.mu

@@ -35,7 +35,6 @@ def tiny_config(**overrides):
         "t_final": {"policy": "fixed", "value": 0.2},
         "dt": 1e-3,
         "stride": 50,
-        "seed": 0,
     }
     cfg.update(overrides)
     return cfg
@@ -155,12 +154,6 @@ def test_main_reports_validation_errors(tmp_path):
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
 
 
-def test_main_rejects_bad_thread_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("SZEGO_LAB_THREADS", "lots")
-    path = write_config(tmp_path, tiny_config())
-    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
-
-
 def test_simulate_writes_deterministic_outputs(tmp_path):
     path = write_config(tmp_path, tiny_config())
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -192,6 +185,23 @@ def test_effective_writes_parameter_table(tmp_path):
     assert lines[0] == "t,a,alpha,phi,mu"
     first = [float(v) for v in lines[1].split(",")]
     assert first == [0.0, -3.0, 1.0, 0.0, 3.0]
+
+
+def test_effective_writes_the_run_track_compares_against(tmp_path):
+    # the grid route at the sample times, with track's tolerances
+    cfg = tiny_config()
+    out = tmp_path / "eff"
+    assert main(["effective", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    times = _sample_times(cfg)
+    states = evolve_effective(EffectiveState(0.0, build_g0(cfg)),
+                              build_potential(cfg), cfg["eps"], float(times[-1]),
+                              t_eval=times, grid=build_grid(cfg),
+                              rtol=1e-11, atol=1e-13)
+    want = "t,a,alpha,phi,mu\n" + "".join(
+        ",".join("%.17g" % v for v in (s.t, *s.g.as_array())) + "\n"
+        for s in states)
+    assert (out / "effective.csv").read_bytes() == want.encode()
 
 
 def test_track_writes_metrics(tmp_path):
