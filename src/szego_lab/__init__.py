@@ -29,7 +29,6 @@ from .operators import (
     hankel_rank,
     kernel_witness,
     linearized_apply,
-    nonlinear_remainder,
     hamiltonian,
     mass,
     momentum,
@@ -43,7 +42,6 @@ from .soliton_manifold import (
     inverse,
     act,
     soliton_profile,
-    lie_apply,
     omega_eta_matrix,
     manifold_project,
     hamiltonian_field_on_M,
@@ -57,7 +55,6 @@ from .dynamics import (
     evolve_pde,
     effective_rhs,
     evolve_effective,
-    w_equation_rhs,
 )
 from .decomposition import (
     Decomposition,

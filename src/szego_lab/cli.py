@@ -46,82 +46,92 @@ def _check(errors, path, ok, message):
         errors.append(f"{path}: {message}")
 
 
+def _real(v) -> bool:
+    """A finite real number: not a bool, NaN or +-Infinity."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) \
+        and abs(v) <= sys.float_info.max
+
+
+def _section(errors, cfg: dict, key: str) -> dict:
+    """cfg[key] when it is an object, else {} and an error if present."""
+    sec = cfg.get(key, {})
+    _check(errors, key, isinstance(sec, dict), "must be a JSON object")
+    return sec if isinstance(sec, dict) else {}
+
+
 def validate_config(cfg: dict, need_sweep: bool = False) -> list:
     """Schema check with explicit error paths; returns a list of
     problems (empty when the config is usable)."""
     e = []
     if not isinstance(cfg, dict):
         return ["<root>: config must be a JSON object"]
-    g = cfg.get("grid", {})
-    _check(e, "grid.n", isinstance(g.get("n"), int) and g.get("n", 0) >= 16
-           and (g.get("n", 0) & (g.get("n", 0) - 1)) == 0,
+    g = _section(e, cfg, "grid")
+    n = g.get("n")
+    _check(e, "grid.n", type(n) is int and n >= 16 and (n & (n - 1)) == 0,
            "n must be a power-of-two integer >= 16")
-    _check(e, "grid.L", isinstance(g.get("L"), (int, float)) and g.get("L", 0) > 0,
+    _check(e, "grid.L", _real(g.get("L")) and g["L"] > 0,
            "L must be a positive number")
-    s = cfg.get("soliton", {})
+    s = _section(e, cfg, "soliton")
     for key in ("a0", "alpha0", "phi0", "mu0"):
-        _check(e, f"soliton.{key}", isinstance(s.get(key), (int, float)),
-               "missing or non-numeric")
-    if isinstance(s.get("alpha0"), (int, float)):
+        _check(e, f"soliton.{key}", _real(s.get(key)), "missing or non-numeric")
+    if _real(s.get("alpha0")):
         _check(e, "soliton.alpha0", s["alpha0"] > 0, "must be positive")
-    if isinstance(s.get("mu0"), (int, float)):
+    if _real(s.get("mu0")):
         _check(e, "soliton.mu0", MU_MIN <= s["mu0"] <= MU_MAX,
                f"must lie in [{MU_MIN:g}, {MU_MAX:g}]")
-    p = cfg.get("potential", {})
+    p = _section(e, cfg, "potential")
     kind = p.get("kind")
     _check(e, "potential.kind", kind in _POTENTIAL_KINDS,
            f"must be one of {_POTENTIAL_KINDS}")
     if kind in ("gaussian", "sech2"):
         for key in ("amplitude", "center", "width"):
-            _check(e, f"potential.{key}",
-                   isinstance(p.get(key), (int, float)), "missing or non-numeric")
-        if isinstance(p.get("width"), (int, float)):
+            _check(e, f"potential.{key}", _real(p.get(key)),
+                   "missing or non-numeric")
+        if _real(p.get("width")):
             _check(e, "potential.width", p["width"] > 0, "must be positive")
     elif kind == "constant":
-        _check(e, "potential.value", isinstance(p.get("value"), (int, float)),
+        _check(e, "potential.value", _real(p.get("value")),
                "missing or non-numeric")
     elif kind == "table":
         xs, vs = p.get("x"), p.get("values")
         ok = isinstance(xs, list) and isinstance(vs, list) \
-            and len(xs) == len(vs) and len(xs) >= 4
+            and len(xs) == len(vs) and len(xs) >= 4 and all(map(_real, xs + vs))
         _check(e, "potential.x/values", ok,
-               "need two equal-length lists with at least 4 points")
+               "need two equal-length lists of at least 4 finite numbers")
     eps = cfg.get("eps")
-    _check(e, "eps", isinstance(eps, (int, float)) and eps >= 0, "must be >= 0")
+    _check(e, "eps", _real(eps) and eps >= 0, "must be a number >= 0")
     delta = cfg.get("delta", 0.35)
-    _check(e, "delta", isinstance(delta, (int, float)) and 0 < delta < 0.5,
+    _check(e, "delta", _real(delta) and 0 < delta < 0.5,
            "must lie strictly inside (0, 1/2)")
-    tf = cfg.get("t_final", {})
-    policy = tf.get("policy") if isinstance(tf, dict) else None
+    tf = _section(e, cfg, "t_final")
+    policy = tf.get("policy")
     _check(e, "t_final.policy", policy in ("fixed", "theorem_horizon"),
            "must be 'fixed' or 'theorem_horizon'")
     if policy == "fixed":
-        _check(e, "t_final.value",
-               isinstance(tf.get("value"), (int, float)) and tf.get("value", 0) > 0,
+        _check(e, "t_final.value", _real(tf.get("value")) and tf["value"] > 0,
                "must be a positive number")
     if policy == "theorem_horizon":
         c0 = tf.get("c0_fit", 32.0)
-        _check(e, "t_final.c0_fit",
-               isinstance(c0, (int, float)) and c0 > 1, "must be > 1")
-        _check(e, "eps", isinstance(eps, (int, float)) and eps > 0,
+        _check(e, "t_final.c0_fit", _real(c0) and c0 > 1, "must be > 1")
+        _check(e, "eps", _real(eps) and eps > 0,
                "theorem_horizon needs eps > 0")
     dt = cfg.get("dt", 5e-4)
-    _check(e, "dt", isinstance(dt, (int, float)) and dt > 0, "must be positive")
+    _check(e, "dt", _real(dt) and dt > 0, "must be positive")
     stride = cfg.get("stride", 100)
-    _check(e, "stride", isinstance(stride, int) and stride >= 1,
+    _check(e, "stride", type(stride) is int and stride >= 1,
            "must be an integer >= 1")
     if need_sweep:
         el = cfg.get("eps_list")
         if not (isinstance(el, list) and len(el) >= 3
-                and all(isinstance(v, (int, float)) and v > 0 for v in el)):
+                and all(_real(v) and v > 0 for v in el)):
             e.append("eps_list: sweep needs at least 3 positive eps values")
         else:
             r = [el[i] / el[i + 1] for i in range(len(el) - 1)]
             _check(e, "eps_list", max(r) / min(r) < 1 + 1e-9,
                    "values must be geometrically spaced")
     if not e:
-        _check(e, "t_final", run_horizon(cfg) >= dt,
-               f"horizon {horizon(cfg):.6g} is shorter than one dt step")
+        _check(e, "t_final", _real(horizon(cfg) / dt) and run_horizon(cfg) >= dt,
+               f"horizon {horizon(cfg):.6g} must hold one to finitely many dt steps")
     return e
 
 

@@ -18,29 +18,22 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from scipy.integrate import solve_ivp
 
 from .spectral_core import (
     HardyField,
     SpectralGrid,
     from_spectrum,
     spectrum,
-    szego_project,
 )
 from .operators import (
     PotentialSpec,
     hamiltonian,
-    linearized_apply,
     mass,
-    nonlinear_remainder,
 )
 from .soliton_manifold import (
     GroupElement,
-    LieVector,
     family_drift_rate,
     family_spectrum,
-    generator_spectra,
-    lie_apply,
     mass_log_slope,
 )
 
@@ -56,7 +49,6 @@ __all__ = [
     "effective_rhs",
     "evolve_effective",
     "free_flow",
-    "w_equation_rhs",
 ]
 
 
@@ -290,21 +282,94 @@ def effective_rhs(s: EffectiveState, b: PotentialSpec, eps: float,
     ])
 
 
+# The Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math.
+# 1980): nodes C, stages A, weights B, error weights E (over the FSAL
+# stage too) and the power-series matrix P of its 4th-order dense output.
+_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_DP_A = np.array([[0, 0, 0, 0, 0], [1/5, 0, 0, 0, 0], [3/40, 9/40, 0, 0, 0],
+                  [44/45, -56/15, 32/9, 0, 0],
+                  [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+                  [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_DP_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+
+
+def _rk45(fun, t0: float, y0: np.ndarray, t_bound: float, t_eval: np.ndarray,
+          rtol: float, atol: float) -> np.ndarray:
+    """y' = fun(t, y) at the sorted t_eval in [t0, t_bound], one column
+    each, step for step as scipy's solve_ivp(method="RK45"): Dormand-Prince
+    5(4) under the step control of Hairer, Norsett & Wanner, Solving ODEs
+    I, sec. II.4, and t_eval filled from each accepted step's dense output.
+    """
+    def rms(x):
+        return np.linalg.norm(x) / x.size ** 0.5
+
+    f = fun(t0, y0)
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = rms(y0 / scale), rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound - t0)
+    d2 = rms((fun(t0 + h0, y0 + h0 * f) - f) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 \
+        else (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, t_bound - t0)
+    t, y, i = t0, y0, 0
+    K = np.empty((7, y0.size))
+    out = []
+    while t < t_bound:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if not h_abs >= min_step:   # a NaN step size stops here too
+                raise RuntimeError("effective integration failed: step size "
+                                   f"fell below 10 ulp at t={t:.17g}")
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s in range(1, 6):
+                K[s] = fun(t + _DP_C[s] * h, y + np.dot(K[:s].T, _DP_A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _DP_B)
+            K[-1] = f_new = fun(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = rms(np.dot(K.T, _DP_E) * h / scale)
+            if err < 1:
+                factor = 10 if err == 0 else min(10, 0.9 * err ** -0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+        j = np.searchsorted(t_eval, t_new, side="right")
+        if j > i:
+            x = np.cumprod(np.tile((t_eval[i:j] - t) / h, (4, 1)), axis=0)
+            out.append(h * np.dot(K.T.dot(_DP_P), x) + y[:, None])
+            i = j
+        t, y, f = t_new, y_new, f_new
+    return np.hstack(out)
+
+
 def evolve_effective(s0: EffectiveState, b: PotentialSpec, eps: float,
-                     t_final: float, t_eval=None, grid: SpectralGrid = None,
+                     t_final: float, t_eval, grid: SpectralGrid = None,
                      rtol: float = 1e-10, atol: float = 1e-12) -> list:
-    """Adaptive embedded 4(5) integration of effective_rhs."""
+    """Adaptive Dormand-Prince 5(4) integration of effective_rhs (_rk45)
+    from s0 to s0.t + t_final (> 0), sampled at the sorted t_eval."""
     def rhs(t, y):
         st = EffectiveState(t, GroupElement(y[0], y[1], y[2], y[3]))
         return effective_rhs(st, b, eps, grid)
 
-    y0 = s0.g.as_array()
-    sol = solve_ivp(rhs, (s0.t, s0.t + t_final), y0, method="RK45",
-                    t_eval=t_eval, rtol=rtol, atol=atol, dense_output=False)
-    if not sol.success:
-        raise RuntimeError(f"effective integration failed: {sol.message}")
-    return [EffectiveState(float(t), GroupElement(*sol.y[:, i]))
-            for i, t in enumerate(sol.t)]
+    t0, t1 = float(s0.t), float(s0.t + t_final)
+    t_eval = np.asarray(t_eval, dtype=float)
+    if not t0 < t1 or t_eval[0] < t0 or t_eval[-1] > t1:
+        raise ValueError("need t_final > 0 and t_eval inside [s0.t, s0.t + t_final]")
+    ys = _rk45(rhs, t0, s0.g.as_array(), t1, t_eval, rtol, atol)
+    return [EffectiveState(float(t), GroupElement(*y)) for t, y in zip(t_eval, ys.T)]
 
 
 def free_flow(g0: GroupElement, t: float, grid: SpectralGrid = None) -> GroupElement:
@@ -320,46 +385,3 @@ def free_flow(g0: GroupElement, t: float, grid: SpectralGrid = None) -> GroupEle
         da = family_drift_rate(g0.alpha, g0.mu, grid)
         dphi = -da**2 / g0.alpha**2
     return GroupElement(g0.a + da * t, g0.alpha, g0.phi + dphi * t, g0.mu)
-
-
-def w_equation_rhs(w: HardyField, g: GroupElement, gdot, b: PotentialSpec,
-                   eps: float) -> HardyField:
-    """Right-hand side of the remainder equation in the moving frame:
-
-        dw/dt = -X.eta + (forcing block on eta)
-                -X.w   + (forcing block on w)
-                + i alpha^2 mu^2 (L w - N w),
-
-    with the forcing block  -i eps P(b(a + x/mu) .) + 2B e1 . - C e2 .
-    + (A+B) e3 . + 2C e4 .  The coefficients, the free rates inside X,
-    and the generator fields of eta are all taken grid-consistent, so
-    the expression vanishes identically on the exact discrete flow.
-    """
-    from .decomposition import x_vector  # runtime import breaks the module cycle
-
-    grid = w.grid
-    al, mu = g.alpha, g.mu
-    co = abc_pairing(g, b, eps, grid) if eps != 0.0 else CoefficientTriple(0, 0, 0)
-    X = x_vector(g, gdot, b, eps, grid=grid, coeffs=co)
-    bsh = np.asarray(b.eval_b(g.a + grid.x / mu), dtype=float) if eps != 0.0 else None
-
-    # eta and its generator directions, all from closed-form spectra
-    E = generator_spectra(grid)
-    eta_vals = from_spectrum(grid, E[1])
-
-    spec_total = np.zeros(grid.n_points, dtype=complex)
-    # eta block
-    for c_j, Ej in zip((-X.y1 + 2 * co.B, -X.y2 - co.C,
-                        -X.y3 + co.A + co.B, -X.y4 + 2 * co.C), E):
-        spec_total += c_j * Ej
-    vals = from_spectrum(grid, spec_total)
-    if eps != 0.0:
-        vals = vals - 1j * eps * bsh * (eta_vals + w.values)
-    # w blocks
-    Yw = LieVector(-X.y1 + 2 * co.B, -X.y2 - co.C,
-                   -X.y3 + co.A + co.B, -X.y4 + 2 * co.C)
-    vals = vals + lie_apply(Yw, w).values
-    lw = linearized_apply(w)
-    nw = nonlinear_remainder(w)
-    vals = vals + 1j * al**2 * mu**2 * (lw.values - nw.values)
-    return szego_project(vals, grid)

@@ -4,9 +4,8 @@ linearization of the flow at the ground soliton.
 The potential enters everywhere through a PotentialSpec, which carries
 the symbol b, its derivative, and the norms that the perturbative
 estimates are phrased in.  The operator pieces assembled here --
-T_b h = P(b h), H_u h = P(u conj(h)), the second-variation operator L
-and the cubic-and-quadratic remainder N -- act pointwise on grid values
-followed by a single Hardy projection.
+T_b h = P(b h), H_u h = P(u conj(h)) and the second-variation operator
+L -- act pointwise on grid values followed by a single Hardy projection.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .spectral_core import (
     HardyField,
@@ -38,7 +36,6 @@ __all__ = [
     "hankel_rank",
     "kernel_witness",
     "linearized_apply",
-    "nonlinear_remainder",
     "hamiltonian",
     "mass",
     "momentum",
@@ -143,29 +140,26 @@ def constant_potential(value: float) -> PotentialSpec:
 
 def table_potential(xs, values) -> PotentialSpec:
     """Cubic-spline potential through tabulated samples; zero outside."""
+    from scipy.interpolate import CubicSpline  # only table potentials need it
+
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
     if xs.ndim != 1 or xs.size < 4 or xs.shape != values.shape:
         raise ValueError("need matching 1-d tables with at least 4 points")
-    sp = CubicSpline(xs, values)
-    dsp = sp.derivative()
     lo, hi = float(xs[0]), float(xs[-1])
 
-    def b(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        inside = (x >= lo) & (x <= hi)
-        out[inside] = sp(x[inside])
-        return out
+    def zero_outside(spline):
+        def f(x):
+            x = np.asarray(x, dtype=float)
+            out = np.zeros_like(x)
+            inside = (x >= lo) & (x <= hi)
+            out[inside] = spline(x[inside])
+            return out
+        return f
 
-    def db(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        inside = (x >= lo) & (x <= hi)
-        out[inside] = dsp(x[inside])
-        return out
-
-    return PotentialSpec(b, db, (lo, hi), label="table")
+    sp = CubicSpline(xs, values)
+    return PotentialSpec(zero_outside(sp), zero_outside(sp.derivative()), (lo, hi),
+                         label="table")
 
 
 def _symbol_values(b, grid: SpectralGrid) -> np.ndarray:
@@ -266,15 +260,6 @@ def linearized_apply(w: HardyField) -> HardyField:
     dw = from_spectrum(grid, 1j * grid.xi * w.spectrum)
     vals = (-0.5j * dw - 2.0 * abs2 * w.values - eta_sq * np.conj(w.values)
             + 0.25 * w.values)
-    return szego_project(vals, grid)
-
-
-def nonlinear_remainder(w: HardyField) -> HardyField:
-    """Quadratic-and-cubic remainder P(|w|^2 w + |w|^2 eta + 2 w Re(eta conj(w)))."""
-    grid = w.grid
-    eta, _, _ = _eta_pieces(grid)
-    aw2 = np.abs(w.values) ** 2
-    vals = aw2 * w.values + aw2 * eta + 2.0 * w.values * np.real(eta * np.conj(w.values))
     return szego_project(vals, grid)
 
 

@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .spectral_core import (
     HardyField,
@@ -44,7 +43,6 @@ __all__ = [
     "inverse",
     "act",
     "soliton_profile",
-    "lie_apply",
     "omega_eta_matrix",
     "manifold_project",
     "hamiltonian_field_on_M",
@@ -156,6 +154,8 @@ def soliton_profile(g: GroupElement, grid: SpectralGrid = None) -> HardyField:
 
 def _resample_spectrum(grid: SpectralGrid, spec: np.ndarray, mu: float):
     """Evaluate a Hardy spectrum at xi/mu by cubic interpolation in xi."""
+    from scipy.interpolate import CubicSpline  # only non-family fields need it
+
     xi = grid.xi_pos
     interp = CubicSpline(xi, spec[grid.nonneg], extrapolate=False)
     target = xi / mu
@@ -187,22 +187,6 @@ def act(g: GroupElement, u: HardyField) -> HardyField:
                         * np.exp(-1j * grid.xi_pos * g.a)
                         * _resample_spectrum(grid, u.spectrum, g.mu))
     return HardyField(grid, from_spectrum(grid, out), _spectrum=out)
-
-
-def lie_apply(Y: LieVector, u: HardyField) -> HardyField:
-    """Infinitesimal action y1 (-u') + y2 u + y3 iu + y4 (u + x u').
-
-    The derivative is spectral; the x-multiplication uses the box
-    coordinate, so fields with slowly decaying tails pick up an O(1/L)
-    wrap artifact (the analytic generator frame in generator_spectra is
-    the right tool near eta).
-    """
-    grid = u.grid
-    du_spec = 1j * grid.xi * u.spectrum
-    du = from_spectrum(grid, du_spec)
-    vals = (-Y.y1 * du + (Y.y2 + 1j * Y.y3) * u.values
-            + Y.y4 * (u.values + grid.x * du))
-    return szego_project(vals, grid)
 
 
 def generator_spectra(grid: SpectralGrid, g: GroupElement = None) -> list:

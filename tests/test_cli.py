@@ -1,13 +1,17 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from szego_lab import cli
 from szego_lab.cli import (
     _run_tracked,
     _sample_times,
@@ -152,6 +156,34 @@ def test_main_reports_validation_errors(tmp_path):
     cfg["dt"] = -1.0
     path = write_config(tmp_path, cfg)
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+
+_SOLITON = {"a0": -3.0, "alpha0": 1.0, "phi0": 0.0, "mu0": 3.0}
+
+
+@pytest.mark.parametrize("path, overrides", [
+    ("eps", {"eps": True}),
+    ("stride", {"stride": True}),
+    ("grid.L", {"grid": {"n": 2048, "L": True}}),
+    ("soliton.a0", {"soliton": dict(_SOLITON, a0=math.nan)}),
+    ("grid.L", {"grid": {"n": 2048, "L": math.inf}}),
+    ("t_final.value", {"t_final": {"policy": "fixed", "value": math.inf}}),
+    ("t_final", {"t_final": {"policy": "fixed", "value": 1e308}}),
+    ("grid", {"grid": 5}),
+    ("soliton", {"soliton": []}),
+    ("potential", {"potential": "gaussian"}),
+    ("potential.x/values", {"potential": {"kind": "table", "x": [-2, -1, 1, 2],
+                                          "values": [0, 1, "1", 0]}}),
+], ids=["bool_eps", "bool_stride", "bool_L", "nan_a0", "inf_L", "inf_t_final", "huge_t_final",
+        "grid_number", "soliton_list", "potential_string", "table_string"])
+def test_main_rejects_malformed_numbers_and_sections(tmp_path, capsys, path,
+                                                     overrides):
+    # JSON's true, NaN and Infinity are not finite real numbers, and a
+    # section must be an object: each is a config error naming its path
+    cfg_path = write_config(tmp_path, tiny_config(**overrides))
+    assert main(["effective", "--config", cfg_path,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {path}: " in capsys.readouterr().err
 
 
 def test_simulate_writes_deterministic_outputs(tmp_path):
@@ -313,3 +345,24 @@ def test_streamed_run_memory_does_not_grow_with_samples():
     # 50 more samples; a kept sample holds values and spectrum
     field_bytes = 2 * tiny_config()["grid"]["n"] * 16
     assert long - short < 0.1 * 50 * field_bytes, (short, long)
+
+
+def test_commands_leave_scipy_integrate_and_interpolate_unloaded(tmp_path):
+    # the effective ODE runs on dynamics._rk45 and the splines are
+    # imported only by table potentials and non-family rescales, so no
+    # command pays for either subpackage at start-up
+    path = write_config(tmp_path, tiny_config(eps_list=[4e-2, 2e-2, 1e-2]))
+    argvs = [[cmd, "--config", path, "--out", str(tmp_path / cmd), *extra]
+             for cmd, *extra in (["simulate"], ["effective"], ["track", "--plots"],
+                                 ["sweep", "--parallel", "2"])]
+    argvs.append(["validate", "--out", str(tmp_path / "validate")])
+    script = ("import sys\nfrom szego_lab import cli\n"
+              f"for argv in {argvs!r}:\n    assert cli.main(argv) == 0, argv\n"
+              "print(sorted({'scipy.integrate', 'scipy.interpolate'} & set(sys.modules)))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"

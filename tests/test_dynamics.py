@@ -1,7 +1,13 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import solve_ivp
 
+from szego_lab import dynamics
+from szego_lab.cli import _sample_times, build_g0, build_grid, build_potential
 from szego_lab.spectral_core import HardyField, from_spectrum, spectrum, szego_project
 from szego_lab.operators import (
     constant_potential,
@@ -30,9 +36,8 @@ from szego_lab.dynamics import (
     evolve_pde,
     free_flow,
     pde_rhs,
-    w_equation_rhs,
 )
-from szego_lab.decomposition import reparametrize, x_vector
+from szego_lab.decomposition import x_vector
 
 
 GAUSS = gaussian_potential(1.0, 0.0, 1.0)
@@ -257,66 +262,58 @@ def test_effective_flow_matches_free_flow_without_potential(grid):
                     [ref.a, ref.alpha, ref.phi, ref.mu], rtol=1e-9, atol=1e-9)
 
 
-# ----------------------------------------------------------- remainder field
+# ------------------------------------------------- the effective integrator
 
 
-def test_remainder_rhs_vanishes_on_manifold(grid):
-    # on the family, with the free rates and no potential, every block
-    # cancels identically
-    g = GroupElement(-1.0, 1.1, 0.3, 1.4)
-    w0 = HardyField(grid, np.zeros(grid.n_points, dtype=complex))
-    rates = effective_rhs(EffectiveState(0.0, g), GAUSS, 0.0, grid)
-    out = w_equation_rhs(w0, g, rates, GAUSS, 0.0)
-    assert np.max(np.abs(out.values)) == 0.0
+def _transit_case():
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                      / "transit.json").read_text())
+    times = _sample_times(cfg)
+    return (build_g0(cfg), build_potential(cfg), float(cfg["eps"]), float(times[-1]),
+            times, build_grid(cfg), 1e-11, 1e-13)
 
 
-def _fd_mismatch(grid, u0, g0, eps, h=5e-3, dt=2.5e-4):
-    # centered time difference of the decomposed remainder versus the
-    # assembled right-hand side at the middle sample
-    traj = evolve_pde(u0, GAUSS, eps, t_final=2 * h, dt=dt, stride=int(round(h / dt)))
-    decs = []
-    guess = g0
-    for f in traj.fields:
-        d = reparametrize(f, guess)
-        decs.append(d)
-        guess = d.g
-    gdot = np.array([
-        (decs[2].g.a - decs[0].g.a),
-        (decs[2].g.alpha - decs[0].g.alpha),
-        (decs[2].g.phi - decs[0].g.phi),
-        (decs[2].g.mu - decs[0].g.mu),
-    ]) / (2 * h)
-    wdot_fd = (decs[2].w.values - decs[0].w.values) / (2 * h)
-    rhs = w_equation_rhs(decs[1].w, decs[1].g, gdot, GAUSS, eps)
-    num = np.sqrt(np.sum(np.abs(wdot_fd - rhs.values) ** 2) * grid.dx)
-    den = np.sqrt(np.sum(np.abs(rhs.values) ** 2) * grid.dx)
-    return num / den
-
-
-@pytest.mark.filterwarnings("ignore:rescaled field exceeds the band limit")
-def test_remainder_rhs_consistent_with_pde(grid):
-    # the model-frame equation and the pulled-back flow are built from
-    # different discretizations of the same continuum objects, so they
-    # agree to the finite-box coefficient floor, not to machine precision;
-    # a sign error or a dropped block would register at order one.  The
-    # measured defect is proportional to eps here, i.e. it sits entirely
-    # in the inhomogeneous block.
+@pytest.mark.parametrize("case", ["transit", "continuum", "grid", "free"])
+def test_rk45_reproduces_solve_ivp(case, grid, monkeypatch):
+    # scipy's RK45 is the oracle: the same states to the bit, from the
+    # same number of right-hand-side evaluations
     g0 = GroupElement(-3.0, 1.0, 0.0, 3.0)
-    rel = _fd_mismatch(grid, soliton_profile(g0, grid), g0, eps=1e-2)
-    assert rel < 0.1
+    t11 = np.linspace(0, 5, 11)
+    g0, b, eps, t_final, t_eval, on, rtol, atol = {
+        "transit": _transit_case,
+        "continuum": lambda: (g0, GAUSS, 1e-2, 5.0, t11, None, 1e-10, 1e-12),
+        "grid": lambda: (g0, GAUSS, 1e-2, 5.0, t11, grid, 1e-10, 1e-12),
+        "free": lambda: (GroupElement(1.0, 1.2, 0.5, 2.0), GAUSS, 0.0, 3.0,
+                         np.array([0.0, 3.0]), grid, 1e-10, 1e-12),
+    }[case]()
+    calls = []
+    monkeypatch.setattr(dynamics, "effective_rhs",
+                        lambda *a: calls.append(1) or effective_rhs(*a))
+    states = evolve_effective(EffectiveState(0.0, g0), b, eps, t_final,
+                              t_eval=t_eval, grid=on, rtol=rtol, atol=atol)
+    sol = solve_ivp(lambda t, y: effective_rhs(EffectiveState(t, GroupElement(*y)),
+                                               b, eps, on),
+                    (0.0, t_final), g0.as_array(), method="RK45", t_eval=t_eval,
+                    rtol=rtol, atol=atol)
+    assert sol.success and sol.t.size == t_eval.size
+    assert np.array_equal([s.t for s in states], sol.t)
+    assert np.array_equal(np.array([s.g.as_array() for s in states]).T, sol.y)
+    assert len(calls) == sol.nfev
 
 
-@pytest.mark.filterwarnings("ignore:rescaled field exceeds the band limit")
-def test_remainder_rhs_consistent_without_potential(grid):
-    # off the family with no potential the mismatch scales with ||w||
-    # through the frozen-coefficient linearization
-    from szego_lab.spectral_core import from_spectrum
+@pytest.mark.parametrize("t_bad", [0.0, 0.3])
+def test_rk45_fails_on_nan_rhs(t_bad):
+    # NaN from the first call, or from t = 0.3 on, which rejects steps
+    # down to the 10-ulp floor
+    def rhs(t, y):
+        return np.full(4, np.nan) if t >= t_bad else -y
 
-    g0 = GroupElement(-3.0, 1.0, 0.0, 3.0)
-    u0 = soliton_profile(g0, grid)
-    bump = np.zeros(grid.n_points, dtype=complex)
-    nn = grid.nonneg
-    bump[nn] = 0.02 * np.exp(-((grid.xi[nn] - 1.5) ** 2)) * (1 + 0.3j)
-    up = HardyField(grid, u0.values + from_spectrum(grid, bump))
-    rel = _fd_mismatch(grid, up, g0, eps=0.0)
-    assert rel < 0.05
+    with pytest.raises(RuntimeError, match="effective integration failed"):
+        dynamics._rk45(rhs, 0.0, np.ones(4), 1.0, np.linspace(0, 1, 5), 1e-10, 1e-12)
+
+
+@pytest.mark.parametrize("t_final, t_eval", [(0.0, [0.0]), (1.0, [0.0, 1.5])])
+def test_evolve_effective_rejects_empty_interval_or_outside_samples(t_final, t_eval):
+    with pytest.raises(ValueError, match="t_final > 0"):
+        evolve_effective(EffectiveState(0.0, GroupElement(-3.0, 1.0, 0.0, 3.0)),
+                         GAUSS, 1e-2, t_final, t_eval=t_eval)

@@ -28,7 +28,6 @@ from szego_lab.operators import (
     linearized_apply,
     mass,
     momentum,
-    nonlinear_remainder,
     sech2_potential,
     table_potential,
     toeplitz_apply,
@@ -212,17 +211,6 @@ def test_coercive_on_orthogonal_complement(grid):
         ratio = inner_real(linearized_apply(w), w) / sobolev_norm(w, 0.5) ** 2
         worst = min(worst, ratio)
     assert worst >= 0.24
-
-
-def test_nonlinear_remainder_is_quadratic_at_small_amplitude(grid, rng):
-    w = random_rational_field(grid, rng)
-    norms = []
-    for lam in (1e-3, 1e-4):
-        scaled = HardyField(grid, lam * w.values)
-        norms.append(nonlinear_remainder(scaled).norm_l2() / lam**2)
-    # quadratic leading term: normalized norms agree to the cubic correction
-    assert abs(norms[0] - norms[1]) < 1e-2 * norms[1]
-    assert norms[1] > 0
 
 
 # ----------------------------------------------------- conserved functionals

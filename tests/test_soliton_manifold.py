@@ -14,7 +14,6 @@ from szego_lab.soliton_manifold import (
     MU_MAX,
     MU_MIN,
     GroupElement,
-    LieVector,
     act,
     compose,
     default_grid,
@@ -26,7 +25,6 @@ from szego_lab.soliton_manifold import (
     hamiltonian_field_on_M,
     identity,
     inverse,
-    lie_apply,
     manifold_project,
     mass_log_slope,
     omega_eta_matrix,
@@ -133,32 +131,6 @@ def test_act_inverse_roundtrip(grid, rng):
 
 
 # --------------------------------------------------------- infinitesimal data
-
-
-def test_lie_apply_matches_finite_differences(grid):
-    # directional derivatives of the action at the identity, checked with
-    # Richardson-extrapolated central differences on a smooth bump field
-    bump = np.zeros(grid.n_points, dtype=complex)
-    nn = grid.nonneg
-    bump[nn] = np.exp(-((grid.xi[nn] - 3.0) ** 2)) * (1.0 + 0.5j)
-    u = HardyField(grid, from_spectrum(grid, bump))
-
-    def action_path(k, t):
-        pars = [0.0, 1.0, 0.0, 1.0]
-        pars[k] += t
-        return act(GroupElement(*pars), u)
-
-    for k in range(4):
-        h = 1e-3
-        d_h = (action_path(k, h).values - action_path(k, -h).values) / (2 * h)
-        d_h2 = (action_path(k, h / 2).values - action_path(k, -h / 2).values) / h
-        fd = (4 * d_h2 - d_h) / 3
-        basis = [0.0, 0.0, 0.0, 0.0]
-        basis[k] = 1.0
-        exact = lie_apply(LieVector(*basis), u)
-        err = np.max(np.abs(fd - exact.values)) / np.max(np.abs(exact.values))
-        # the scaling direction pays for the spline resample at mu != 1
-        assert err < 1e-5, f"direction {k}: {err:.2e}"
 
 
 def test_generator_closed_forms_on_soliton(grid):
