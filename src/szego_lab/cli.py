@@ -39,6 +39,8 @@ from .decomposition import (
 from . import checks, plots
 
 _POTENTIAL_KINDS = ("gaussian", "sech2", "constant", "table")
+# largest family-spectrum tail exp(-xi_max/mu0) left at the top grid bin
+SPECTRAL_TAIL_MAX = 1e-6
 
 
 def _check(errors, path, ok, message):
@@ -132,6 +134,13 @@ def validate_config(cfg: dict, need_sweep: bool = False) -> list:
     if not e:
         _check(e, "t_final", _real(horizon(cfg) / dt) and run_horizon(cfg) >= dt,
                f"horizon {horizon(cfg):.6g} must hold one to finitely many dt steps")
+        # the soliton spectrum decays as exp(-xi/mu0); a tail the grid
+        # cuts off is a member it cannot represent
+        tail = math.exp(-2 * math.pi * (n // 2 - 1) / (g["L"] * s["mu0"]))
+        _check(e, "soliton.mu0", tail <= SPECTRAL_TAIL_MAX,
+               f"spectral tail exp(-xi_max/mu0) = {tail:.2g} at the top grid "
+               f"bin exceeds {SPECTRAL_TAIL_MAX:g}; the grid does not resolve "
+               "this scale (raise grid.n, or lower grid.L or mu0)")
     return e
 
 

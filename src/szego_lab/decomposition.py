@@ -8,10 +8,12 @@ orthogonality conditions pair u - S(g) against the generator frame at
 g.  The frame, its parameter derivatives and the tangents of S are the
 family spectrum shape times polynomials of degree <= 2 in xi, so the
 residual and its Jacobian are closed-form combinations of six spectral
-moments of u and of the family shape: each Newton evaluation costs one
-exponential and a few weighted sums over the nonnegative bins, and one
-FFT of u at entry is the only transform.  The moving-frame field w is
-materialized once, after convergence.
+moments of u and of the family shape.  The shape exp(-xi/mu - i a xi)
+comes from soliton_manifold.family_shape, the outer product of two
+exponential tables of about sqrt(n/2) points (the bins form a geometric
+sequence), and the moments are two products with the grid's
+[1, xi, xi^2] table; one FFT of u at entry is the only transform.  The
+moving-frame field w is materialized once, after convergence.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .soliton_manifold import (
     act,
     family_mass_constant,
     family_drift_rate,
+    family_shape,
     inverse,
     mass_log_slope,
     soliton_profile,
@@ -88,18 +91,14 @@ def _residual_and_jacobian(u_pos: np.ndarray, g: GroupElement,
     (u - S contributes m_p + 2 pi i q_p).
     """
     al, mu = g.alpha, g.mu
-    xi = grid.xi_pos
-    shape = np.exp(-xi / mu - 1j * g.a * xi)
+    shape = family_shape(g.a, mu, grid)
     base = (np.exp(1j * g.phi) * al) * shape
     bb = base.real * base.real + base.imag * base.imag
     ub = u_pos * np.conj(base)
-    xi2 = xi * xi
-    m = (complex(np.sum(ub)), complex(np.sum(ub * xi)),
-         complex(np.sum(ub * xi2)))
-    x0, x1, x2 = (v.real for v in m)
-    y0, y1, y2 = (v.imag for v in m)
+    # rows p = 0, 1, 2 of [1, xi, xi^2] against (Re, Im) of ub and against bb
+    (x0, y0), (x1, y1), (x2, y2) = grid.xi_powers @ ub.view(float).reshape(-1, 2)
     tp = 2.0 * np.pi
-    Q0, Q1, Q2 = tp * np.sum(bb), tp * np.sum(bb * xi), tp * np.sum(bb * xi2)
+    Q0, Q1, Q2 = tp * (grid.xi_powers @ bb)
     # R_j and J_jk written out in the moments, in units of 2 pi / L
     s = tp / grid.box_length
     R = s * np.array([-(y1 + Q1) / mu, x0, y0 + Q0, x1 / mu])
@@ -181,7 +180,7 @@ def _decompose(u: HardyField, g_guess: GroupElement):
     cannot converge or the remainder exceeds the tubular radius, and
     DegenerateParametrizationError when the 4x4 system degenerates."""
     grid = u.grid
-    u_pos = u.spectrum[grid.nonneg]
+    u_pos = u.spectrum[:grid.n_points // 2]
     g, iters, resid, shape = _newton(u_pos, g_guess, grid, u.norm_l2())
     wl2, wh12 = _exact_w_norms(u_pos, g, shape, grid)
     if wh12 > TUBULAR_RADIUS:

@@ -124,14 +124,15 @@ def abc_pairing(g: GroupElement, b: PotentialSpec, eps: float,
     if eps == 0.0:
         return CoefficientTriple(0.0, 0.0, 0.0)
     mu = g.mu
+    half = grid.n_points // 2
     S = family_spectrum(GroupElement(g.a, 1.0, 0.0, mu), grid)
-    F = spectrum(grid, b.on_grid(grid) * from_spectrum(grid, S))[grid.nonneg]
-    S = S[grid.nonneg]
-    xi = grid.xi_pos
+    F = spectrum(grid, b.on_grid(grid) * from_spectrum(grid, S))[:half]
+    S = S[:half]
     FS = (-1j * eps) * F * np.conj(S)
     SS = S.real * S.real + S.imag * S.imag
-    f0, f1 = complex(np.sum(FS)), complex(np.sum(FS * xi))
-    s0, s1, s2 = np.sum(SS), np.sum(SS * xi), np.sum(SS * xi * xi)
+    P = grid.xi_powers
+    f0, f1 = (complex(*v) for v in P[:2] @ FS.view(float).reshape(-1, 2))
+    s0, s1, s2 = P @ SS
     # Om[k, l] = L omega(T_k, T_l) and r_k = L omega(F, T_k) written out
     # for the tangents T = S * (-i xi, 1, i, xi/mu^2); the factor 1/L
     # cancels in the solve
@@ -361,6 +362,11 @@ def evolve_effective(s0: EffectiveState, b: PotentialSpec, eps: float,
     """Adaptive Dormand-Prince 5(4) integration of effective_rhs (_rk45)
     from s0 to s0.t + t_final (> 0), sampled at the sorted t_eval."""
     def rhs(t, y):
+        # a non-finite stage state is a failed integration, not a bad
+        # group point for GroupElement to reject
+        if not np.all(np.isfinite(y)):
+            raise RuntimeError("effective integration failed: non-finite "
+                               f"state at t={t:.17g}")
         st = EffectiveState(t, GroupElement(y[0], y[1], y[2], y[3]))
         return effective_rhs(st, b, eps, grid)
 

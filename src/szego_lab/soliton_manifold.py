@@ -50,6 +50,7 @@ __all__ = [
     "generator_spectra",
     "tangent_frame_spectra",
     "frame_gram",
+    "family_shape",
     "family_spectrum",
     "family_mass_constant",
     "family_drift_rate",
@@ -130,12 +131,27 @@ def inverse(g: GroupElement) -> GroupElement:
     return GroupElement(-g.a * g.mu, 1.0 / g.alpha, -g.phi, 1.0 / g.mu)
 
 
+def family_shape(a: float, mu: float, grid: SpectralGrid) -> np.ndarray:
+    """The family shape exp(-xi/mu - i a xi) on the n/2 nonnegative bins.
+
+    xi_k = k dxi, so the shape is the geometric sequence r^k with
+    r = exp(w dxi), w = -1/mu - i a (the rank-one Hankel orbit of
+    Pocovnicu, Anal. PDE 2011).  With B = 2^floor(log2(n/2)/2), bin
+    jB + k is the product of a coarse table exp(w xi_jB) and a fine one
+    exp(w xi_k): two exponentials of about sqrt(n/2) points and one
+    outer product in place of n/2 complex exponentials.
+    """
+    xi = grid.xi_pos
+    w = -1.0 / mu - 1j * a
+    B = 1 << ((xi.size.bit_length() - 1) // 2)
+    return np.multiply.outer(np.exp(w * xi[::B]), np.exp(w * xi[:B])).ravel()
+
+
 def family_spectrum(g: GroupElement, grid: SpectralGrid) -> np.ndarray:
     """Geometric spectrum of the discrete family member for g."""
     spec = np.zeros(grid.n_points, dtype=complex)
-    xi = grid.xi_pos
-    spec[grid.nonneg] = (np.exp(1j * g.phi) * g.alpha * (-2j * np.pi)
-                         * np.exp(-xi / g.mu - 1j * xi * g.a))
+    spec[:grid.n_points // 2] = (np.exp(1j * g.phi) * g.alpha * (-2j * np.pi)
+                                 * family_shape(g.a, g.mu, grid))
     return spec
 
 
@@ -198,15 +214,14 @@ def generator_spectra(grid: SpectralGrid, g: GroupElement = None) -> list:
     """
     if g is None:
         g = identity()
-    xi = grid.xi_pos
-    z = xi / g.mu
-    base = np.exp(1j * g.phi) * g.alpha * np.exp(-z - 1j * xi * g.a)
+    z = grid.xi_pos / g.mu
+    base = np.exp(1j * g.phi) * g.alpha * family_shape(g.a, g.mu, grid)
     shapes = (-2 * np.pi * z, -2j * np.pi * np.ones_like(z),
               2 * np.pi * np.ones_like(z), -2j * np.pi * z)
     out = []
     for s in shapes:
         spec = np.zeros(grid.n_points, dtype=complex)
-        spec[grid.nonneg] = base * s
+        spec[:grid.n_points // 2] = base * s
         out.append(spec)
     return out
 

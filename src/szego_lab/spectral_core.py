@@ -42,8 +42,9 @@ HARDY_TOL = 1e-12
 class SpectralGrid:
     """Periodic grid for [-L/2, L/2) with FFT frequency bookkeeping.
 
-    Derived arrays (nodes, frequencies, the nonnegative-frequency mask
-    and the phase factors that align numpy's FFT with the continuum
+    Derived arrays (nodes, frequencies, the nonnegative-frequency mask,
+    the first n/2 bins it selects with their powers [1, xi, xi^2], and
+    the phase factors that align numpy's FFT with the continuum
     transform) are computed once and shared by every field on the grid.
     """
 
@@ -67,6 +68,10 @@ class SpectralGrid:
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "nonneg", nonneg)
         object.__setattr__(self, "xi_pos", xi[nonneg])
+        # spectral moments are products with this table; built here, not
+        # on first use, because sweep members on threads share the grid
+        object.__setattr__(self, "xi_powers", np.vstack(
+            [np.ones(n // 2), xi[:n // 2], xi[:n // 2] ** 2]))
         object.__setattr__(self, "_fwd_phase", dx * np.exp(-1j * xi * x[0]))
         object.__setattr__(self, "_inv_phase", (n / L) * np.exp(1j * xi * x[0]))
 
@@ -133,12 +138,6 @@ def szego_project(f, grid: SpectralGrid = None) -> HardyField:
     spec = spectrum(grid, vals)
     spec[~grid.nonneg] = 0.0
     return HardyField(grid, from_spectrum(grid, spec), _spectrum=spec)
-
-
-def project_spectrum(grid: SpectralGrid, spec: np.ndarray) -> np.ndarray:
-    """In-place Hardy truncation of a raw spectrum array."""
-    spec[~grid.nonneg] = 0.0
-    return spec
 
 
 def sobolev_norm(h: HardyField, s: float = 0.5, homogeneous: bool = False) -> float:

@@ -104,6 +104,22 @@ def test_zero_step_horizon_is_config_error(tmp_path):
                                                 "value": 1e-3})) == []
 
 
+def test_unresolved_soliton_scale_is_config_error(tmp_path, capsys):
+    # mu0 = 64 on the transit grid leaves exp(-xi_max/mu0) ~ 0.2 at the
+    # top bin; the example configs leave ~3e-15
+    cfg = tiny_config(grid={"n": 8192, "L": 256.0},
+                      soliton=dict(_SOLITON, mu0=64.0))
+    errors = validate_config(cfg)
+    assert len(errors) == 1 and errors[0].startswith("soliton.mu0: spectral tail")
+    assert "0.21" in errors[0]
+    assert main(["track", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "config error: soliton.mu0: " in capsys.readouterr().err
+    for path in (Path(__file__).resolve().parents[1] / "configs").glob("*.json"):
+        cfg = json.loads(path.read_text())
+        assert validate_config(cfg, need_sweep="eps_list" in cfg) == [], path.name
+
+
 def test_sweep_needs_eps_list():
     cfg = tiny_config()
     assert any("eps_list" in e for e in validate_config(cfg, need_sweep=True))

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from szego_lab.spectral_core import HardyField, from_spectrum, random_rational_field
+from szego_lab.spectral_core import (
+    HardyField,
+    SpectralGrid,
+    from_spectrum,
+    random_rational_field,
+)
 from szego_lab.operators import gaussian_potential, mass
 from szego_lab.soliton_manifold import (
     GroupElement,
@@ -18,6 +23,7 @@ from szego_lab.decomposition import (
     Decomposition,
     _residual_and_jacobian,
     DegenerateParametrizationError,
+    Tracker,
     TrackReport,
     TubularNeighborhoodError,
     reparametrize,
@@ -291,6 +297,28 @@ def test_track_error_carries_timestamp(grid):
     with pytest.raises((TubularNeighborhoodError, DegenerateParametrizationError)) as info:
         track(traj, GAUSS, 0.0, g0=identity())
     assert "t = " in str(info.value)
+
+
+def test_tracker_makes_no_full_length_complex_exponential(monkeypatch):
+    # the family shape of every Newton evaluation and pairing comes from
+    # two tables of about sqrt(n/2) points, never from n/2 exponentials
+    grid = SpectralGrid(2048, 128.0)
+    g0 = GroupElement(-3.0, 1.0, 0.0, 3.0)
+    traj = evolve_pde(soliton_profile(g0, grid), GAUSS, 1e-2, t_final=0.05,
+                      dt=1e-3, stride=10)
+    sizes, exp = [], np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        if np.iscomplexobj(x):
+            sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    tracker = Tracker(grid, g0)
+    for t, u in zip(traj.times, traj.fields):
+        tracker.add(float(t), u)
+    tracker.report(GAUSS, 1e-2)
+    assert sizes and max(sizes) <= 2 * np.sqrt(grid.n_points // 2)
 
 
 def test_track_csv_format(short_tracked_run, tmp_path):

@@ -312,6 +312,14 @@ def test_rk45_fails_on_nan_rhs(t_bad):
         dynamics._rk45(rhs, 0.0, np.ones(4), 1.0, np.linspace(0, 1, 5), 1e-10, 1e-12)
 
 
+def test_evolve_effective_reports_non_finite_state_as_failed_integration(monkeypatch):
+    # a NaN velocity must not surface as GroupElement's parameter check
+    monkeypatch.setattr(dynamics, "effective_rhs", lambda *a: np.full(4, np.nan))
+    with pytest.raises(RuntimeError, match="non-finite state at t="):
+        evolve_effective(EffectiveState(0.0, GroupElement(-3.0, 1.0, 0.0, 3.0)),
+                         GAUSS, 1e-2, 1.0, t_eval=[0.0, 1.0])
+
+
 @pytest.mark.parametrize("t_final, t_eval", [(0.0, [0.0]), (1.0, [0.0, 1.5])])
 def test_evolve_effective_rejects_empty_interval_or_outside_samples(t_final, t_eval):
     with pytest.raises(ValueError, match="t_final > 0"):

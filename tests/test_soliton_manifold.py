@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 
 from szego_lab.spectral_core import (
     HardyField,
+    SpectralGrid,
     from_spectrum,
     random_hardy_field,
     random_rational_field,
@@ -19,6 +20,7 @@ from szego_lab.soliton_manifold import (
     default_grid,
     family_drift_rate,
     family_mass_constant,
+    family_shape,
     family_spectrum,
     frame_gram,
     generator_spectra,
@@ -101,6 +103,21 @@ def test_soliton_profile_is_group_orbit(grid):
     moved = act(g, soliton_profile(identity(), grid))
     assert_allclose(member.values, moved.values, atol=1e-12)
     assert member.orbit == g
+
+
+@pytest.mark.parametrize("n", [2**k for k in range(4, 16)])
+def test_family_shape_is_the_direct_exponential(n):
+    # two-table product against one exponential per bin; both round the
+    # exponent w xi, so the tolerance grows with its size
+    grid = SpectralGrid(n, 256.0)
+    xi, L = grid.xi_pos, grid.box_length
+    for mu in (MU_MIN, 1.0, 3.0, MU_MAX):
+        for a in (-L / 2, -3.0, 0.0, L / 2):
+            want = np.exp(-xi / mu - 1j * a * xi)
+            got = family_shape(a, mu, grid)
+            tol = 4 * np.finfo(float).eps * (1.0 + abs(-1.0 / mu - 1j * a) * xi)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= tol * np.abs(want) + 1e-300), (mu, a)
 
 
 def test_family_spectrum_matches_profile(grid):

@@ -11,7 +11,6 @@ from szego_lab.spectral_core import (
     from_spectrum,
     inner_real,
     pair_spectra,
-    project_spectrum,
     quadrature,
     random_hardy_field,
     random_rational_field,
@@ -29,6 +28,10 @@ def test_grid_geometry(grid):
     # exactly half the bins carry nonnegative frequencies
     assert int(np.sum(grid.nonneg)) == grid.n_points // 2
     assert np.all(grid.xi[grid.nonneg] >= 0)
+    # ... and they are the first n/2, the bins the [:n/2] slices select
+    assert np.array_equal(grid.nonneg, np.arange(grid.n_points) < grid.n_points // 2)
+    assert np.array_equal(grid.xi_powers,
+                          [np.ones_like(grid.xi_pos), grid.xi_pos, grid.xi_pos**2])
     assert grid.x[0] == -grid.box_length / 2
 
 
@@ -76,14 +79,6 @@ def test_projection_is_orthogonal(grid, rng):
     # removed part is L2-orthogonal to the retained part
     ip = np.sum(p.spectrum * np.conj(spectrum(grid, q.values))) / grid.box_length
     assert abs(ip) < 1e-10
-
-
-def test_project_spectrum_in_place(grid):
-    spec = np.ones(grid.n_points, dtype=complex)
-    out = project_spectrum(grid, spec)
-    assert out is spec
-    assert np.all(spec[~grid.nonneg] == 0)
-    assert np.all(spec[grid.nonneg] == 1)
 
 
 def test_inner_real_is_real_symmetric(grid, rng):
