@@ -28,7 +28,13 @@ from .operators import (
     sech2_potential,
     table_potential,
 )
-from .soliton_manifold import MU_MAX, MU_MIN, GroupElement, soliton_profile
+from .soliton_manifold import (
+    MU_MAX,
+    MU_MIN,
+    GroupElement,
+    family_drift_rate,
+    soliton_profile,
+)
 from .dynamics import DivergenceError, EffectiveState, evolve_effective, evolve_pde
 from .decomposition import (
     Tracker,
@@ -129,8 +135,8 @@ def validate_config(cfg: dict, need_sweep: bool = False) -> list:
             e.append("eps_list: sweep needs at least 3 positive eps values")
         else:
             r = [el[i] / el[i + 1] for i in range(len(el) - 1)]
-            _check(e, "eps_list", max(r) / min(r) < 1 + 1e-9,
-                   "values must be geometrically spaced")
+            _check(e, "eps_list", min(r) > 1 and max(r) / min(r) < 1 + 1e-9,
+                   "values must be distinct, decreasing and geometrically spaced")
     if not e:
         _check(e, "t_final", _real(horizon(cfg) / dt) and run_horizon(cfg) >= dt,
                f"horizon {horizon(cfg):.6g} must hold one to finitely many dt steps")
@@ -141,7 +147,26 @@ def validate_config(cfg: dict, need_sweep: bool = False) -> list:
                f"spectral tail exp(-xi_max/mu0) = {tail:.2g} at the top grid "
                f"bin exceeds {SPECTRAL_TAIL_MAX:g}; the grid does not resolve "
                "this scale (raise grid.n, or lower grid.L or mu0)")
+    if not e:
+        _check_wrap(e, cfg, cfg["eps_list"] if need_sweep else [cfg["eps"]])
     return e
+
+
+def _check_wrap(errors, cfg: dict, eps_list: list) -> None:
+    """The free soliton must stay 10/mu0 clear of the box edge +-L/2 from
+    a0 to a0 + c T (c the discrete-family drift rate, T the longest run
+    horizon over eps_list), or it wraps round the periodic box."""
+    s, half = cfg["soliton"], 0.5 * cfg["grid"]["L"]
+    c = family_drift_rate(s["alpha0"], s["mu0"], build_grid(cfg))
+    T = max(run_horizon(dict(cfg, eps=v)) for v in eps_list)
+    margin = 10.0 / s["mu0"]
+    end = s["a0"] + c * T
+    for a, where in ((s["a0"], f"starts at a = {s['a0']:.6g}"),
+                     (end, f"reaches a = {end:.6g} at t = {T:.6g}")):
+        _check(errors, "soliton.a0", abs(a) <= half - margin,
+               f"the free soliton {where}, not 10/mu0 = {margin:.3g} clear "
+               f"of the box edge +-{half:g}; it would wrap round the periodic "
+               "box (raise grid.L or shorten t_final)")
 
 
 def horizon(cfg: dict) -> float:

@@ -129,6 +129,47 @@ def test_sweep_needs_eps_list():
     assert any("eps_list" in e for e in validate_config(bad, need_sweep=True))
 
 
+@pytest.mark.parametrize("eps_list", [[1e-2, 1e-2, 1e-2], [1e-2, 2e-2, 4e-2]],
+                         ids=["repeated", "increasing"])
+def test_sweep_rejects_eps_lists_that_do_not_decrease(tmp_path, capsys, eps_list):
+    # README promises a geometrically decreasing list.  Both lists have a
+    # constant ratio; the repeated one used to run, write one member
+    # directory and print NaN slopes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert '"eps_list", a geometrically decreasing list' in readme
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", write_config(tmp_path, tiny_config(eps_list=eps_list)),
+                 "--out", str(out)]) == 2
+    assert "config error: eps_list: values must be distinct, decreasing" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_soliton_wrapping_round_the_box_is_config_error(tmp_path, capsys):
+    # the free soliton moves at c ~ 1.5; it must stay 10/mu0 = 3.33 clear
+    # of the edge L/2 from a0 to a0 + c T
+    edge = tiny_config(soliton=dict(_SOLITON, a0=-63.0),     # L/2 = 64
+                       t_final={"policy": "fixed", "value": 2.0})
+    errors = validate_config(edge)
+    assert len(errors) == 1
+    assert errors[0].startswith("soliton.a0: the free soliton starts at a = -63, ")
+    assert main(["track", "--config", write_config(tmp_path, edge),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "wrap round the periodic box" in capsys.readouterr().err
+    long_run = tiny_config(t_final={"policy": "fixed", "value": 45.0})
+    errors = validate_config(long_run)
+    assert len(errors) == 1
+    assert errors[0].startswith("soliton.a0: the free soliton reaches a = 65.6")
+    assert validate_config(tiny_config(t_final={"policy": "fixed", "value": 40.0})) == []
+    # a sweep checks every member's horizon: at c0_fit = 1.009 the theorem
+    # horizon is 5.0 at eps = 0.5 but 59.8 at the sweep's eps = 1e-2
+    theorem = {"policy": "theorem_horizon", "c0_fit": 1.009}
+    assert validate_config(tiny_config(eps=0.5, t_final=theorem)) == []
+    sweep = tiny_config(eps=0.5, t_final=theorem, eps_list=[4e-2, 2e-2, 1e-2])
+    errors = validate_config(sweep, need_sweep=True)
+    assert len(errors) == 1 and errors[0].startswith("soliton.a0: the free soliton reaches")
+
+
 def test_horizon_formula():
     cfg = tiny_config(eps=1e-2, delta=0.35,
                       t_final={"policy": "theorem_horizon", "c0_fit": 32.0})

@@ -3,11 +3,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
-from szego_lab import dynamics
-from szego_lab.cli import _sample_times, build_g0, build_grid, build_potential
+from szego_lab import decomposition, dynamics
+from szego_lab.cli import (
+    SPECTRAL_TAIL_MAX,
+    _run_tracked,
+    _sample_times,
+    build_g0,
+    build_grid,
+    build_potential,
+)
 from szego_lab.spectral_core import HardyField, from_spectrum, spectrum, szego_project
 from szego_lab.operators import (
     constant_potential,
@@ -15,6 +23,7 @@ from szego_lab.operators import (
     hamiltonian,
     mass,
     sech2_potential,
+    table_potential,
     toeplitz_apply,
 )
 from szego_lab.soliton_manifold import (
@@ -37,7 +46,7 @@ from szego_lab.dynamics import (
     free_flow,
     pde_rhs,
 )
-from szego_lab.decomposition import x_vector
+from szego_lab.decomposition import Tracker, x_vector
 
 
 GAUSS = gaussian_potential(1.0, 0.0, 1.0)
@@ -117,6 +126,44 @@ def test_abc_pairing_constant_potential(grid):
     assert_allclose([co.A, co.B, co.C], [5e-3, 0.0, 0.0], atol=1e-10)
 
 
+_TABLE = table_potential(np.linspace(-2.0, 3.0, 9), np.sin(np.linspace(-2.0, 3.0, 9)) ** 2)
+# the scale whose spectral tail exp(-xi_max/mu) at the top bin is exactly
+# the largest the config check accepts
+_MU_LIMIT = 2 * np.pi * 4095 / 256.0 / -np.log(SPECTRAL_TAIL_MAX)
+
+
+@pytest.mark.parametrize("b, a, mu", [
+    (GAUSS, -3.0, _MU_LIMIT),
+    (GAUSS, 0.45 * 256.0, 3.0),
+    (GAUSS, -0.45 * 256.0, 1.0),
+    (_TABLE, 0.8, 3.0),
+    (_TABLE, -0.45 * 256.0, _MU_LIMIT),
+    (sech2_potential(0.8, -0.5, 1.3), 0.45 * 256.0, 3.0),
+    (sech2_potential(0.8, -0.5, 1.3), 2.0, _MU_LIMIT),
+    (constant_potential(0.5), 1.3, 3.0),
+], ids=["gauss_mu_limit", "gauss_wrap_right", "gauss_wrap_left", "table",
+        "table_wrap_mu_limit", "sech2_wrap", "sech2_mu_limit", "constant"])
+def test_closed_form_pairing_matches_per_bin_pairings(grid, b, a, mu):
+    # the transform-free closed form against the FFT reference, where the
+    # profile wraps round the box, at the coarsest resolved scale, on a
+    # compact potential and on potentials that span the whole box
+    g = GroupElement(a, 1.2, 0.3, mu)
+    got = abc_pairing(g, b, 1e-2, grid).as_array()
+    want = _per_bin_abc_pairing(g, b, 1e-2, grid)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.all(abc_pairing(g, b, 0.0, grid).as_array() == 0.0)
+
+
+def test_closed_form_pairing_sums_only_the_potential_support(grid):
+    # the table is zero outside [-2, 3]; the sech2 is nonzero everywhere
+    assert np.count_nonzero(_TABLE.on_grid(grid)) < grid.n_points // 40
+    assert np.all(sech2_potential(0.8, -0.5, 1.3).on_grid(grid) != 0.0)
+    zero = table_potential(np.linspace(200.0, 201.0, 4), np.ones(4))
+    assert not np.any(zero.on_grid(grid))
+    co = abc_pairing(GroupElement(-3.0, 1.0, 0.0, 3.0), zero, 1e-2, grid)
+    assert co.as_array().tolist() == [0.0, 0.0, 0.0]
+
+
 # --------------------------------------------------------------- the full PDE
 
 
@@ -165,6 +212,62 @@ def test_evolve_pde_sampling(grid):
     assert_allclose(traj.times, [0.0, 0.025, 0.05, 0.075, 0.1], atol=1e-12)
     assert len(traj.fields) == 5
     assert traj.dt == 1e-3
+
+
+def test_stored_samples_do_not_alias_the_stepping_buffers(grid):
+    # a sample keeps the step's inverse transform as its values and the
+    # stepping goes on with a copy, which the next step consumes in place
+    u0 = soliton_profile(GroupElement(-3.0, 1.0, 0.0, 3.0), grid)
+    traj = evolve_pde(u0, GAUSS, 1e-2, t_final=0.01, dt=1e-3, stride=2)
+    assert len(traj.fields) == 6
+    for f in traj.fields:
+        ref = from_spectrum(grid, f.spectrum)
+        assert np.max(np.abs(f.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+    for f, h in zip(traj.fields, traj.fields[1:]):
+        assert not np.shares_memory(f.values, h.values)
+        assert not np.shares_memory(f.spectrum, h.spectrum)
+
+
+def test_fft_only_on_the_rk4_path(monkeypatch):
+    # a stride-1 tracked run: 8 transforms per RK4 step (the first stage
+    # reuses the inverse transform the step starts from, which is also
+    # the sample's field), at most 3 more per run, and none in the
+    # decomposition, the defect or the pairing
+    cfg = {"grid": {"n": 2048, "L": 128.0},
+           "soliton": {"a0": -3.0, "alpha0": 1.0, "phi0": 0.0, "mu0": 3.0},
+           "potential": {"kind": "gaussian", "amplitude": 1.0, "center": 0.0,
+                         "width": 1.0},
+           "eps": 0.01, "t_final": {"policy": "fixed", "value": 0.01},
+           "dt": 1e-3, "stride": 1}
+    calls = {"all": 0, "inside": 0}
+    depth = [0]
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls["all"] += 1
+            calls["inside"] += depth[0] > 0
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def guarded(fn):
+        def wrapper(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(scipy.fft, name, counted(getattr(scipy.fft, name)))
+    monkeypatch.setattr(Tracker, "add", guarded(Tracker.add))
+    monkeypatch.setattr(Tracker, "report", guarded(Tracker.report))
+    for module in (dynamics, decomposition):
+        monkeypatch.setattr(module, "abc_pairing", guarded(module.abc_pairing))
+    report, _ = _run_tracked(cfg)
+    assert report.times.size == 11
+    assert calls["inside"] == 0
+    assert 8 * 10 <= calls["all"] <= 8 * 10 + 3
 
 
 def test_free_soliton_follows_closed_form(grid):
