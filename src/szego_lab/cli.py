@@ -138,8 +138,13 @@ def validate_config(cfg: dict, need_sweep: bool = False) -> list:
             _check(e, "eps_list", min(r) > 1 and max(r) / min(r) < 1 + 1e-9,
                    "values must be distinct, decreasing and geometrically spaced")
     if not e:
-        _check(e, "t_final", _real(horizon(cfg) / dt) and run_horizon(cfg) >= dt,
-               f"horizon {horizon(cfg):.6g} must hold one to finitely many dt steps")
+        # every sweep member runs to the horizon of its own eps
+        for v in (cfg["eps_list"] if need_sweep and policy == "theorem_horizon"
+                  else [eps]):
+            m = dict(cfg, eps=v)
+            _check(e, "t_final", _real(horizon(m) / dt) and run_horizon(m) >= dt,
+                   f"horizon {horizon(m):.6g} at eps = {v:g} must hold one to "
+                   "finitely many dt steps")
         # the soliton spectrum decays as exp(-xi/mu0); a tail the grid
         # cuts off is a member it cannot represent
         tail = math.exp(-2 * math.pi * (n // 2 - 1) / (g["L"] * s["mu0"]))

@@ -11,12 +11,16 @@ corrections and is what the tracked-run comparisons use, because the
 grid family drifts at its own exact rate (family_drift_rate) rather
 than the continuum alpha^2 mu / 2.
 
-Only the RK4 steps of the PDE take FFTs.  The pairing route needs none:
-by discrete Parseval its pairings are sums over the grid of b times
-the family profile and its xi-weighted companion, and the family's
-spectrum is geometric, so both are closed-form geometric sums evaluated
-on the span of the potential's nonzero samples (abc_pairing).  A PDE
-sample reuses the inverse transform that the next step starts from.
+Only the RK4 steps of the PDE take FFTs, all of length n/2: the state
+is the n/2 nonnegative bins of a Hardy field, so by decimation in time
+its even and odd samples, and the Hardy projection of a pointwise
+product, are each one batched transform of a (2, n/2) array (_field,
+_raw_rhs).  The pairing route needs no transform: by discrete Parseval
+its pairings are sums over the grid of b times the family profile and
+its xi-weighted companion, and the family's spectrum is geometric, so
+both are closed-form geometric sums evaluated on the span of the
+potential's nonzero samples (abc_pairing).  A PDE sample interleaves
+the samples that the next step starts from.
 """
 
 from __future__ import annotations
@@ -204,36 +208,73 @@ def abc_pairing(g: GroupElement, b: PotentialSpec, eps: float,
     return CoefficientTriple(A, B, C)
 
 
-def _raw_rhs(V: np.ndarray, eb: np.ndarray = None,
-             u: np.ndarray = None) -> np.ndarray:
-    """The right-hand-side kernel in raw FFT coordinates.
+def _field(V: np.ndarray, grid: SpectralGrid, out: np.ndarray = None) -> np.ndarray:
+    """u = ifft(V) from the n/2 nonnegative raw bins V (the rest vanish),
+    as the (2, n/2) rows of its even and odd samples.
 
-    V = fft(u) without the continuum phases; returns
-    fft(-i P(|u|^2 u + eb u)).  The Hardy projection zeroes the bins
-    [n/2:], which in fftfreq order are exactly ~grid.nonneg.  A caller
-    that already holds u = ifft(V) passes it and the kernel consumes it
-    (u is overwritten) in place of a second inverse transform.
+    Decimation in time (Cooley & Tukey, 1965): u[2m] = ifft_{n/2}(V)_m / 2
+    and u[2m+1] = ifft_{n/2}(V e^{i pi k/(n/2)})_m / 2, one batched inverse
+    transform, run in `out` when it is given.
+    """
+    z = np.empty((2, V.size), dtype=complex) if out is None else out
+    np.multiply(V, 0.5, out=z[0])
+    np.multiply(z[0], grid.twiddle[0], out=z[1])
+    return scipy.fft.ifft(z, overwrite_x=True)
+
+
+def _raw_rhs(V: np.ndarray, grid: SpectralGrid, eb: np.ndarray = None,
+             u: np.ndarray = None, w: np.ndarray = None) -> np.ndarray:
+    """The right-hand-side kernel on the n/2 nonnegative raw FFT bins.
+
+    V holds bins [0, n/2) of fft(u), which in fftfreq order are
+    grid.nonneg; the others vanish.  Returns the same bins of
+    fft(P(|u|^2 u + eb u)), the flow's right-hand side without its
+    factor -i, which the caller applies; eb is eps b in the row layout of
+    _field.  P keeps exactly these bins of the length-n transform of g,
+    fft_{n/2}(g_even)_k + e^{-i pi k/(n/2)} fft_{n/2}(g_odd)_k, so the
+    negative half is never formed.
+
+    A caller that already holds the rows u = _field(V, grid) passes them
+    and the kernel consumes them: the forward transform runs in u's
+    buffer and the result is a view of its first row.  w, if given, is a
+    (2, n/2) float work array for |u|^2 + eb.
     """
     if u is None:
-        u = scipy.fft.ifft(V)
-    w = u.real * u.real
-    w += u.imag * u.imag
+        u = _field(V, grid)
+    w = np.abs(u, out=w)
+    w *= w
     if eb is not None:
         w += eb
     u *= w
     F = scipy.fft.fft(u, overwrite_x=True)
-    half = F.size // 2
-    F[half:] = 0.0
-    F[:half] *= -1j
-    return F
+    F[1] *= grid.twiddle[1]
+    F[0] += F[1]
+    return F[0]
+
+
+def _eb_rows(b: PotentialSpec, eps: float, grid: SpectralGrid) -> np.ndarray:
+    """eps b on the grid in the (even, odd) row layout of _field, or None."""
+    if b is None or eps == 0.0:
+        return None
+    return np.multiply(b.on_grid(grid).reshape(-1, 2).T, eps, order="C")
+
+
+def _sample(grid: SpectralGrid, u: np.ndarray, V: np.ndarray) -> HardyField:
+    """The field with raw bins V and rows u = _field(V, grid), in fresh
+    length-n arrays: the rows interleaved, the spectrum zero above n/2."""
+    spec = np.zeros(grid.n_points, dtype=complex)
+    np.multiply(V, grid._fwd_phase[:V.size], out=spec[:V.size])
+    return HardyField(grid, u.T.flatten(), _spectrum=spec)
 
 
 def pde_rhs(u: HardyField, b: PotentialSpec = None, eps: float = 0.0) -> HardyField:
-    """-i (P(|u|^2 u) + eps T_b u), the right-hand side of the flow."""
+    """-i (P(|u|^2 u) + eps T_b u), the right-hand side of the flow,
+    through the RK4 kernel _raw_rhs."""
     grid = u.grid
-    eb = eps * b.on_grid(grid) if eps != 0.0 else None
-    F = _raw_rhs(scipy.fft.fft(u.values), eb)
-    return HardyField(grid, scipy.fft.ifft(F), _spectrum=F * grid._fwd_phase)
+    N = grid.n_points // 2
+    K = -1j * _raw_rhs(u.spectrum[:N] * grid._inv_phase[:N], grid,
+                       _eb_rows(b, eps, grid))
+    return _sample(grid, _field(K, grid), K)
 
 
 @dataclass(frozen=True)
@@ -256,13 +297,15 @@ def evolve_pde(u0: HardyField, b: PotentialSpec = None, eps: float = 0.0,
 
     The Hardy projection is applied inside every stage evaluation; the
     nonlinearity has no derivatives of u, so there is no step-size
-    stability constraint beyond accuracy.  The state is stepped in raw
-    FFT coordinates (_raw_rhs), so the continuum phases are applied only
+    stability constraint beyond accuracy.  The state is the n/2
+    nonnegative bins in raw FFT coordinates (_raw_rhs), so every
+    transform has length n/2 and the continuum phases are applied only
     when a sample is taken: every `stride` steps, plus t = 0 and the
-    final step.  Each step starts from u = ifft(V), which its first stage
-    consumes.  A sample takes that u as its values and the next step a
-    copy made after the sink returns, so a sample costs no transform
-    (the last aside) and holds no extra field while the sink runs.  Each
+    final step.  The kernel's factor -i rides on the stage weights, and
+    the stages run in buffers allocated once per call.  Each step starts
+    from the rows u = _field(V), which its first stage consumes.  A
+    sample interleaves those rows into fresh values and pads the bins
+    with zeros into a fresh spectrum, so it costs no transform.  Each
     sample goes to `on_sample(t, field)` as it is made.
     The default sink keeps it in the returned `fields`; with any other,
     `fields` stays empty and memory does not grow with the sample count.
@@ -271,50 +314,51 @@ def evolve_pde(u0: HardyField, b: PotentialSpec = None, eps: float = 0.0,
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ValueError("t_final must be an integer number of steps")
-    eb = eps * b.on_grid(grid) if (b is not None and eps != 0.0) else None
+    eb = _eb_rows(b, eps, grid)
     fields = []
     on_sample = on_sample or (lambda t, f: fields.append(f))
-    U = np.where(grid.nonneg, u0.spectrum, 0.0)
+    N = grid.n_points // 2
     # work buffers belong to this call: sweep members run on threads
-    V = U * grid._inv_phase
-    u = scipy.fft.ifft(V)
+    V = u0.spectrum[:N] * grid._inv_phase[:N]
+    Y = np.empty_like(V)
+    acc = np.empty_like(V)
+    z = np.empty((2, N), dtype=complex)
+    w = np.empty((2, N))
+    u = _field(V, grid, z)
     times = [0.0]
-    f = HardyField(grid, u, _spectrum=U)
+    f = _sample(grid, u, V)
     m0 = mass(f)
     h0 = hamiltonian(f, b, eps)
     on_sample(0.0, f)
-    u = u.copy()    # the sample keeps u; the first stage consumes a copy
     m_drift = 0.0
     h_drift = 0.0
     h_scale = max(abs(h0), 1e-30)
-    # (stage offset, weight) of k2..k4; k1 has weight dt/6
-    stages = ((0.5 * dt, dt / 3.0), (0.5 * dt, dt / 3.0), (dt, dt / 6.0))
-    Y = np.empty_like(V)
-    acc = np.empty_like(V)
+    # (stage offset, weight) of k2..k4 with the kernel's -i folded in;
+    # k1 has weight -i dt/6
+    stages = ((-0.5j * dt, -1j * dt / 3.0), (-0.5j * dt, -1j * dt / 3.0),
+              (-1j * dt, -1j * dt / 6.0))
     for k in range(1, n_steps + 1):
         # a diverging step is reported below, not warned about; the
         # sample consumers keep the caller's error state
         with np.errstate(over="ignore", invalid="ignore"):
-            K = _raw_rhs(V, eb, u)
-            del u   # consumed by the first stage, whose K may reuse its buffer
-            np.multiply(K, dt / 6.0, out=acc)
+            K = _raw_rhs(V, grid, eb, u, w)
+            np.multiply(K, -1j * dt / 6.0, out=acc)
             for offset, weight in stages:
                 np.multiply(K, offset, out=Y)
                 Y += V
-                K = _raw_rhs(Y, eb)
+                K = _raw_rhs(Y, grid, eb, _field(Y, grid, z), w)
                 np.multiply(K, weight, out=Y)
                 acc += Y
             V += acc
         if not np.all(np.isfinite(V)):
             raise DivergenceError(f"non-finite field at step {k} (t={k * dt:.6g})")
-        u = scipy.fft.ifft(V)
+        u = _field(V, grid, z)
         if k % stride == 0 or k == n_steps:
-            f = HardyField(grid, u, _spectrum=V * grid._fwd_phase)
+            f = _sample(grid, u, V)
             times.append(k * dt)
             on_sample(k * dt, f)
             m_drift = max(m_drift, abs(mass(f) - m0) / m0)
             h_drift = max(h_drift, abs(hamiltonian(f, b, eps) - h0) / h_scale)
-            u = u.copy()
     return PdeTrajectory(grid, np.array(times), fields, m_drift, h_drift, eps, dt)
 
 

@@ -43,9 +43,10 @@ class SpectralGrid:
     """Periodic grid for [-L/2, L/2) with FFT frequency bookkeeping.
 
     Derived arrays (nodes, frequencies, the nonnegative-frequency mask,
-    the first n/2 bins it selects with their powers [1, xi, xi^2], and
-    the phase factors that align numpy's FFT with the continuum
-    transform) are computed once and shared by every field on the grid.
+    the first n/2 bins it selects with their powers [1, xi, xi^2] and
+    their half-length FFT twiddles, and the phase factors that align
+    numpy's FFT with the continuum transform) are computed once and
+    shared by every field on the grid.
     """
 
     n_points: int
@@ -72,6 +73,10 @@ class SpectralGrid:
         # on first use, because sweep members on threads share the grid
         object.__setattr__(self, "xi_powers", np.vstack(
             [np.ones(n // 2), xi[:n // 2], xi[:n // 2] ** 2]))
+        # e^{+-i pi k/(n/2)}, k < n/2: the odd-sample twiddles that split a
+        # length-n transform of a Hardy field into two of length n/2
+        t = np.exp(1j * np.pi * np.arange(n // 2) / (n // 2))
+        object.__setattr__(self, "twiddle", np.vstack([t, t.conj()]))
         object.__setattr__(self, "_fwd_phase", dx * np.exp(-1j * xi * x[0]))
         object.__setattr__(self, "_inv_phase", (n / L) * np.exp(1j * xi * x[0]))
 

@@ -104,6 +104,30 @@ def test_zero_step_horizon_is_config_error(tmp_path):
                                                 "value": 1e-3})) == []
 
 
+def test_sweep_checks_every_members_step_count(tmp_path, capsys, monkeypatch):
+    # at dt = 5e-3 the theorem horizon holds 10 steps at eps = 0.1 and 4
+    # at 0.3, but none at 0.9 (0.0018); the sweep must stop before any
+    # member runs, not fail that member after the others ran
+    cfg = tiny_config(eps=0.1, dt=5e-3, eps_list=[0.9, 0.3, 0.1],
+                      t_final={"policy": "theorem_horizon", "c0_fit": 32.0})
+    assert [run_horizon(dict(cfg, eps=v)) / 5e-3 for v in (0.9, 0.3, 0.1)] \
+        == pytest.approx([0, 4, 10])
+    assert validate_config(cfg) == []
+    errors = validate_config(cfg, need_sweep=True)
+    assert len(errors) == 1 and errors[0].startswith("t_final: horizon 0.0018")
+    assert "at eps = 0.9 must hold" in errors[0]
+
+    def no_member(c):
+        raise AssertionError(f"member eps={c['eps']} ran")
+
+    monkeypatch.setattr(cli, "_run_tracked", no_member)
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    assert "config error: t_final: horizon 0.0018" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unresolved_soliton_scale_is_config_error(tmp_path, capsys):
     # mu0 = 64 on the transit grid leaves exp(-xi_max/mu0) ~ 0.2 at the
     # top bin; the example configs leave ~3e-15

@@ -4,10 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
-from szego_lab import decomposition, dynamics
+from szego_lab import cli, decomposition, dynamics
 from szego_lab.cli import (
     SPECTRAL_TAIL_MAX,
     _run_tracked,
@@ -16,7 +17,13 @@ from szego_lab.cli import (
     build_grid,
     build_potential,
 )
-from szego_lab.spectral_core import HardyField, from_spectrum, spectrum, szego_project
+from szego_lab.spectral_core import (
+    HardyField,
+    SpectralGrid,
+    from_spectrum,
+    spectrum,
+    szego_project,
+)
 from szego_lab.operators import (
     constant_potential,
     gaussian_potential,
@@ -175,6 +182,28 @@ def test_pde_rhs_assembly(grid):
     assert_allclose(got.values, expected, atol=1e-12)
 
 
+@given(log2n=st.integers(4, 13), eps=st.sampled_from([0.0, 1e-2]),
+       seed=st.integers(0, 2**31 - 1))
+def test_half_length_kernel_matches_length_n_projection(log2n, eps, seed):
+    # the kernel's two length-n/2 transforms against the length-n
+    # pointwise product and Hardy projection they replace; P zeroes the
+    # bins [n/2, n), so fft(-i P(g))[:n/2] is -i fft(g)[:n/2]
+    n = 1 << log2n
+    grid = SpectralGrid(n, n / 32.0)
+    rng = np.random.default_rng(seed)
+    N = n // 2
+    V = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) * (n / N**0.5)
+    u = np.fft.ifft(np.concatenate([V, np.zeros(N)]))
+    g = (np.abs(u) ** 2 + eps * GAUSS.on_grid(grid)) * u
+    ref = -1j * np.fft.fft(g)[:N]
+    eb = dynamics._eb_rows(GAUSS, eps, grid)
+    K = -1j * dynamics._raw_rhs(V, grid, eb)
+    assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # the stepping form, on the caller's rows and work array, is the same sum
+    rows = dynamics._field(V, grid, np.empty((2, N), dtype=complex))
+    assert np.array_equal(-1j * dynamics._raw_rhs(V, grid, eb, rows, np.empty((2, N))), K)
+
+
 def test_lean_kernel_matches_reference_rk4(grid):
     # the raw-coordinate stepper against textbook RK4 over the public
     # pde_rhs, on the transit geometry
@@ -241,15 +270,19 @@ def test_fft_only_on_the_rk4_path(monkeypatch):
            "dt": 1e-3, "stride": 1}
     calls = {"all": 0, "inside": 0}
     depth = [0]
+    rk4 = [0]
+    batches = []    # (shape, n, axis) of each transform inside the RK4 loop
 
     def counted(fn):
-        def wrapper(*args, **kwargs):
+        def wrapper(x, n=None, axis=-1, *args, **kwargs):
             calls["all"] += 1
             calls["inside"] += depth[0] > 0
-            return fn(*args, **kwargs)
+            if rk4[0] and not depth[0]:
+                batches.append((np.shape(x), n, axis))
+            return fn(x, n, axis, *args, **kwargs)
         return wrapper
 
-    def guarded(fn):
+    def guarded(fn, depth=depth):
         def wrapper(*args, **kwargs):
             depth[0] += 1
             try:
@@ -264,10 +297,14 @@ def test_fft_only_on_the_rk4_path(monkeypatch):
     monkeypatch.setattr(Tracker, "report", guarded(Tracker.report))
     for module in (dynamics, decomposition):
         monkeypatch.setattr(module, "abc_pairing", guarded(module.abc_pairing))
+    monkeypatch.setattr(cli, "evolve_pde", guarded(cli.evolve_pde, rk4))
     report, _ = _run_tracked(cfg)
     assert report.times.size == 11
     assert calls["inside"] == 0
     assert 8 * 10 <= calls["all"] <= 8 * 10 + 3
+    # every RK4 transform is one (2, n/2) batch along the last axis
+    assert len(batches) >= 8 * 10
+    assert set(batches) == {((2, 1024), None, -1)}
 
 
 def test_free_soliton_follows_closed_form(grid):
