@@ -15,7 +15,6 @@ from .spectral_core import (
     inner_real,
     symplectic_pair,
     quadrature,
-    synthesize,
     eta_field,
 )
 from .operators import (
@@ -32,7 +31,6 @@ from .operators import (
     hamiltonian,
     mass,
     momentum,
-    energy_E,
 )
 from .soliton_manifold import (
     GroupElement,
@@ -44,8 +42,6 @@ from .soliton_manifold import (
     soliton_profile,
     omega_eta_matrix,
     manifold_project,
-    hamiltonian_field_on_M,
-    omega_on_M,
 )
 from .dynamics import (
     EffectiveState,

@@ -39,7 +39,6 @@ __all__ = [
     "hamiltonian",
     "mass",
     "momentum",
-    "energy_E",
 ]
 
 
@@ -283,12 +282,3 @@ def momentum(u: HardyField) -> float:
     """Squared homogeneous H^{1/2} norm; not conserved once eps > 0."""
     return sobolev_norm(u, 0.5, homogeneous=True) ** 2
 
-
-def energy_E(u: HardyField) -> float:
-    """Unperturbed energy (1/4) int |u|^4 + (i/4) int u' conj(u) - (1/8) int |u|^2.
-
-    The middle term is real for Hardy fields and equals -momentum/4,
-    computed spectrally.
-    """
-    quartic = 0.25 * float(np.real(quadrature(np.abs(u.values) ** 4, u.grid)))
-    return quartic - 0.25 * momentum(u) - 0.125 * mass(u)

@@ -72,10 +72,12 @@ def line_plot(path, xs, series, labels=None, title="", xlabel="", ylabel="",
         xmax = max(p[0] for p in allpts)
         ymin = min(p[1] for p in allpts)
         ymax = max(p[1] for p in allpts)
+    # a degenerate range is padded by +-0.5, or on a log axis by a factor
+    # of 2, which keeps its lower end positive
     if xmin == xmax:
-        xmin, xmax = xmin - 0.5, xmax + 0.5
+        xmin, xmax = (xmin / 2, xmax * 2) if logx else (xmin - 0.5, xmax + 0.5)
     if ymin == ymax:
-        ymin, ymax = ymin - 0.5, ymax + 0.5
+        ymin, ymax = (ymin / 2, ymax * 2) if logy else (ymin - 0.5, ymax + 0.5)
 
     def sx(x):
         t = ((math.log10(x) - math.log10(xmin))

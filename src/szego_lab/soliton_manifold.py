@@ -2,9 +2,8 @@
 
 Group elements g = (a, alpha, phi, mu) act on fields by
 (g.u)(x) = exp(i phi) alpha mu u(mu (x - a)).  The orbit of the ground
-state eta = 1/(x+i) is the soliton manifold; its tangent frame, the
-symplectic form restricted to it, and the Hamiltonian vector field
-construction all live here.
+state eta = 1/(x+i) is the soliton manifold; its tangent frame and the
+symplectic pairings of that frame live here.
 
 On the periodic grid the family member for g is defined by its
 geometric spectrum
@@ -45,8 +44,6 @@ __all__ = [
     "soliton_profile",
     "omega_eta_matrix",
     "manifold_project",
-    "hamiltonian_field_on_M",
-    "omega_on_M",
     "generator_spectra",
     "tangent_frame_spectra",
     "frame_gram",
@@ -55,22 +52,12 @@ __all__ = [
     "family_mass_constant",
     "family_drift_rate",
     "mass_log_slope",
-    "default_grid",
 ]
 
 # extreme scales alias on a fixed grid; the theorem regime keeps mu
 # near mu0 anyway
 MU_MIN = 1.0 / 64.0
 MU_MAX = 64.0
-
-_DEFAULT_GRID = None
-
-
-def default_grid() -> SpectralGrid:
-    global _DEFAULT_GRID
-    if _DEFAULT_GRID is None:
-        _DEFAULT_GRID = SpectralGrid(8192, 256.0)
-    return _DEFAULT_GRID
 
 
 @dataclass(frozen=True)
@@ -155,15 +142,13 @@ def family_spectrum(g: GroupElement, grid: SpectralGrid) -> np.ndarray:
     return spec
 
 
-def soliton_profile(g: GroupElement, grid: SpectralGrid = None) -> HardyField:
+def soliton_profile(g: GroupElement, grid: SpectralGrid) -> HardyField:
     """Family member for g; pointwise it is exp(i phi) alpha/(x - a + i/mu).
 
     Synthesized from the geometric spectrum, so it is the exact orbit
     point of the discrete family; sampling the rational profile instead
     agrees up to the 1/L tail error.
     """
-    if grid is None:
-        grid = default_grid()
     spec = family_spectrum(g, grid)
     return HardyField(grid, from_spectrum(grid, spec), orbit=g, _spectrum=spec)
 
@@ -259,7 +244,7 @@ def frame_gram(grid: SpectralGrid, g: GroupElement = None) -> np.ndarray:
     return G
 
 
-def omega_eta_matrix(grid: SpectralGrid = None) -> np.ndarray:
+def omega_eta_matrix(grid: SpectralGrid) -> np.ndarray:
     """Pairings omega(e_i eta, e_j eta); the continuum values are
     (1,2) -> -pi/2, (1,3) -> 0, (1,4) -> -pi/2, (2,3) -> -pi,
     (2,4) -> 0, (3,4) -> pi/2.
@@ -269,8 +254,6 @@ def omega_eta_matrix(grid: SpectralGrid = None) -> np.ndarray:
     the 1/L tail error of the box, not the larger zero-bin offset of
     the periodized family (see the family mass constant).
     """
-    if grid is None:
-        grid = default_grid()
     x = grid.x
     eta = 1.0 / (x + 1j)
     eta2 = eta * eta
@@ -299,44 +282,6 @@ def manifold_project(u: HardyField, g: GroupElement = None) -> LieVector:
     r = np.array([_omega_spec(grid, su, Ej) for Ej in E])
     y = np.linalg.solve(G.T, r)
     return LieVector(*y)
-
-
-def hamiltonian_field_on_M(df, g: GroupElement) -> LieVector:
-    """Hamiltonian vector field on the family from a differential.
-
-    df = (f_a, f_alpha, f_phi, f_mu) are the partials of a function of
-    the four parameters; the returned coefficients are the unique
-    solution of omega|_M(. , X) = df.
-    """
-    al, mu = g.alpha, g.mu
-    if al <= 0 or mu <= 0:
-        raise ValueError("alpha and mu must be positive")
-    f_a, f_al, f_phi, f_mu = df
-    c2 = 2.0 / (al**2 * mu**2 * np.pi)
-    c1 = 2.0 / (al**2 * mu * np.pi)
-    return LieVector(
-        -c2 * (-2 * mu * f_mu + al * f_al),
-        c2 * (al * f_a + al * mu * f_phi),
-        c1 * (mu * f_mu - al * f_al),
-        -c1 * (mu * f_phi + 2 * f_a),
-    )
-
-
-def omega_on_M(g: GroupElement) -> np.ndarray:
-    """Coefficient matrix of the restricted symplectic form at g.
-
-    Entry (i, j) multiplies dx_i wedge dx_j in coordinate order
-    (a, alpha, phi, mu); at the identity this reduces to
-    omega_eta_matrix().
-    """
-    al, mu = g.alpha, g.mu
-    s = al**2 * mu * np.pi / 2.0
-    M = np.zeros((4, 4))
-    M[1, 0] = s * mu / al   # dalpha ^ da
-    M[3, 0] = s             # dmu ^ da
-    M[2, 1] = s * 2.0 / al  # dphi ^ dalpha
-    M[2, 3] = s / mu        # dphi ^ dmu
-    return M - M.T
 
 
 def family_mass_constant(mu: float, grid: SpectralGrid) -> float:

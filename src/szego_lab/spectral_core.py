@@ -27,7 +27,6 @@ __all__ = [
     "inner_real",
     "symplectic_pair",
     "quadrature",
-    "synthesize",
     "eta_field",
     "spectrum",
     "from_spectrum",
@@ -80,10 +79,6 @@ class SpectralGrid:
         object.__setattr__(self, "_fwd_phase", dx * np.exp(-1j * xi * x[0]))
         object.__setattr__(self, "_inv_phase", (n / L) * np.exp(1j * xi * x[0]))
 
-    @property
-    def frequencies(self):
-        return self.xi
-
 
 def spectrum(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
     """Continuum-normalized Fourier coefficients of grid samples."""
@@ -101,14 +96,12 @@ class HardyField:
 
     ``orbit`` tags fields known to lie on the soliton family (the group
     element that generated them); the group action uses it to re-derive
-    closed forms instead of resampling.  ``negative_mass_fraction``
-    records how much spectral mass synthesize() had to discard.
+    closed forms instead of resampling.
     """
 
     grid: SpectralGrid
     values: np.ndarray
     orbit: object = None
-    negative_mass_fraction: float = 0.0
     _spectrum: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
@@ -183,24 +176,6 @@ def quadrature(samples, grid: SpectralGrid = None):
     """Periodic trapezoid rule, dx * sum(samples)."""
     grid, vals = _as_values(samples, grid)
     return grid.dx * np.sum(vals)
-
-
-def synthesize(f, grid: SpectralGrid) -> HardyField:
-    """Sample a pointwise function and project onto the Hardy space.
-
-    The fraction of spectral mass discarded by the projection is kept on
-    the result as a diagnostic.
-    """
-    vals = np.asarray(f(grid.x), dtype=complex)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("function produced non-finite samples")
-    spec = spectrum(grid, vals)
-    total = np.sum(np.abs(spec) ** 2)
-    lost = np.sum(np.abs(spec[~grid.nonneg]) ** 2)
-    spec[~grid.nonneg] = 0.0
-    frac = float(lost / total) if total > 0 else 0.0
-    return HardyField(grid, from_spectrum(grid, spec),
-                      negative_mass_fraction=frac, _spectrum=spec)
 
 
 def eta_spectrum(grid: SpectralGrid) -> np.ndarray:

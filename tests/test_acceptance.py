@@ -1,9 +1,10 @@
 """End-to-end acceptance gate.
 
 Nine criteria, each printing a single PASS/FAIL line (run with -s to see
-them).  The perturbed-transit runs are shared module-wide because they
-dominate the runtime; every tolerance here is pinned against the default
-grid (8192 points, box 256).
+them).  The perturbed transits dominate the runtime, so they are shared
+module-wide; each is the CLI's own tracked run (cli._run_tracked) on a
+fixed-horizon config.  Every tolerance here is pinned against the
+default grid (8192 points, box 256).
 """
 
 import time
@@ -19,10 +20,11 @@ from szego_lab.checks import (
     kernel_witness_residual,
     symplectic_table_error,
 )
-from szego_lab.operators import gaussian_potential, momentum
+from szego_lab.cli import _run_tracked
+from szego_lab.operators import gaussian_potential
 from szego_lab.soliton_manifold import GroupElement, identity, soliton_profile
 from szego_lab.dynamics import EffectiveState, evolve_effective, evolve_pde
-from szego_lab.decomposition import reparametrize, theorem_metrics, track
+from szego_lab.decomposition import reparametrize
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:rescaled field exceeds the band limit")
@@ -46,21 +48,28 @@ def _horizon(eps):
     return np.floor(eps**-0.5 / step) * step
 
 
-def _transit_run(grid, eps):
-    traj = evolve_pde(soliton_profile(TRANSIT_G0, grid), GAUSS, eps,
-                      t_final=float(_horizon(eps)), dt=DT, stride=STRIDE)
-    eff = evolve_effective(EffectiveState(0.0, TRANSIT_G0), GAUSS, eps,
-                           float(_horizon(eps)), t_eval=np.asarray(traj.times),
-                           grid=grid)
-    report = track(traj, GAUSS, eps, effective_trajectory=eff, g0=TRANSIT_G0)
-    metrics = theorem_metrics(report, eps=eps, delta=DELTA)
-    return traj, eff, report, metrics
+def _transit_config(eps):
+    """The transit of TRANSIT_G0 through GAUSS on the default grid, to
+    the horizon of eps."""
+    g = TRANSIT_G0
+    return {
+        "grid": {"n": 8192, "L": 256.0},
+        "soliton": {"a0": g.a, "alpha0": g.alpha, "phi0": g.phi, "mu0": g.mu},
+        "potential": {"kind": "gaussian", "amplitude": 1.0, "center": 0.0,
+                      "width": 1.0},
+        "eps": eps,
+        "delta": DELTA,
+        "t_final": {"policy": "fixed", "value": float(_horizon(eps))},
+        "dt": DT,
+        "stride": STRIDE,
+    }
 
 
 @pytest.fixture(scope="module")
-def transit(grid):
+def transit():
+    """eps -> (report, metrics, trajectory) of its tracked run."""
     t0 = time.time()
-    runs = {eps: _transit_run(grid, eps) for eps in SWEEP_EPS + (5e-3,)}
+    runs = {eps: _run_tracked(_transit_config(eps)) for eps in SWEEP_EPS + (5e-3,)}
     runs["wall"] = time.time() - t0
     return runs
 
@@ -104,12 +113,10 @@ def test_criterion_2_exact_flow(grid, free_run):
     )
 
 
-def test_criterion_3_conservation(grid, free_run, transit):
-    traj = transit[1e-2][0]
-    p0 = momentum(traj.fields[0])
-    pert_p = max(abs(momentum(f) - p0) / p0 for f in traj.fields)
-    q0 = momentum(free_run.fields[0])
-    free_p = max(abs(momentum(f) - q0) / q0 for f in free_run.fields)
+def test_criterion_3_conservation(free_run, transit):
+    traj = transit[1e-2][2]
+    pert_p = traj.momentum_drift
+    free_p = free_run.momentum_drift
     ok = (
         traj.mass_drift < 1e-8
         and traj.hamiltonian_drift < 1e-7
@@ -164,7 +171,7 @@ def test_criterion_6_decomposition(grid, transit):
                   abs(d.g.phi - g.phi), abs(d.g.mu - g.mu))
         worst_err = max(worst_err, err)
         worst_iters = max(worst_iters, d.newton_iters)
-    report = transit[1e-2][2]
+    report = transit[1e-2][0]
     mass_res = float(np.nanmax(report.mass_residual))
     ok = worst_err < 1e-9 and worst_iters <= 5 and mass_res < 1e-6
     _report(
@@ -196,7 +203,7 @@ def test_criterion_8_scaling_regression(transit):
     loge = np.log(eps)
 
     def slope(key):
-        vals = np.array([transit[e][3][key] for e in SWEEP_EPS])
+        vals = np.array([transit[e][1][key] for e in SWEEP_EPS])
         return float(np.polyfit(loge, np.log(vals), 1)[0])
 
     s_w = slope("sup_w_h12")
@@ -214,8 +221,8 @@ def test_criterion_8_scaling_regression(transit):
 
 
 def test_criterion_9_defect_bound(transit):
-    c_ref = transit[1e-2][3]["c_fit"]
-    c_half = transit[5e-3][3]["c_fit"]
+    c_ref = transit[1e-2][1]["c_fit"]
+    c_half = transit[5e-3][1]["c_fit"]
     ratio = c_half / c_ref
     ok = np.isfinite(c_ref) and c_ref > 0 and 0.5 <= ratio <= 2.0
     _report(

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from szego_lab import cli
+from szego_lab import cli, plots
 from szego_lab.cli import (
     _run_tracked,
     _sample_times,
@@ -290,6 +290,29 @@ def test_simulate_plots_flag(tmp_path):
     assert svg.startswith("<svg")
 
 
+@pytest.mark.parametrize("axis", ["logx", "logy"])
+def test_line_plot_of_one_point_on_a_log_axis(tmp_path, axis):
+    # a degenerate range padded by +-0.5 would reach below zero
+    path = tmp_path / f"{axis}.svg"
+    plots.line_plot(path, [0.05], [[0.01]], **{axis: True})
+    svg = path.read_text()
+    assert svg.startswith("<svg") and "<polyline" in svg
+
+
+def test_track_plots_a_run_of_two_samples(tmp_path):
+    # one stride: the remainder is exactly zero at t = 0, so the log plot
+    # of |w| holds one point
+    cfg = tiny_config(t_final={"policy": "fixed", "value": 0.05},
+                      soliton={"a0": -3.0, "alpha0": 1.0, "phi0": 0.5, "mu0": 3.0})
+    out = tmp_path / "two"
+    assert main(["track", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out), "--plots"]) == 0
+    rows = (out / "track.csv").read_text().splitlines()
+    assert len(rows) == 3 and float(rows[1].split(",")[5]) == 0.0
+    for name in ("w_norm.svg", "deviations.svg"):
+        assert (out / name).read_text().startswith("<svg")
+
+
 def test_effective_writes_parameter_table(tmp_path):
     path = write_config(tmp_path, tiny_config())
     out = tmp_path / "eff"
@@ -362,6 +385,18 @@ def test_sweep_writes_summary(tmp_path):
         assert (sub / "track.csv").exists()
 
 
+@pytest.mark.parametrize("parallel", ["0", "-3"])
+def test_sweep_rejects_a_pool_below_one_worker(tmp_path, capsys, parallel):
+    path = write_config(tmp_path, tiny_config(eps_list=[4e-2, 2e-2, 1e-2]))
+    out = tmp_path / "s"
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--config", path, "--out", str(out),
+              "--parallel", parallel])
+    assert info.value.code == 2
+    assert "--parallel must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_parallel_matches_serial(tmp_path):
     # members on a thread pool must not share integrator state
     path = write_config(tmp_path, tiny_config(eps_list=[4e-2, 2e-2, 1e-2]))
@@ -383,7 +418,7 @@ def test_sweep_parallel_matches_serial(tmp_path):
 def test_streamed_run_matches_stored_track():
     # the streamed pipeline against track over a run that keeps its fields
     cfg = tiny_config(stride=1, t_final={"policy": "fixed", "value": 0.05})
-    report, metrics = _run_tracked(cfg)
+    report, metrics, _ = _run_tracked(cfg)
 
     grid, b, g0, eps = build_grid(cfg), build_potential(cfg), build_g0(cfg), 0.01
     traj = evolve_pde(soliton_profile(g0, grid), b, eps, run_horizon(cfg),
@@ -447,3 +482,16 @@ def test_commands_leave_scipy_integrate_and_interpolate_unloaded(tmp_path):
                           text=True, env=env)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_benchmark_tracer_installs():
+    # perfbench/tracing.py wraps szego_lab's module attributes by name,
+    # cli.track among them, which cli.py imports only for the tracer; a
+    # deleted or renamed name makes install fail
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import tracing; tracing.install(tracing.Tracer())"],
+        capture_output=True, text=True, env=env, cwd=root)
+    assert done.returncode == 0, done.stderr

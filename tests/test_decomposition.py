@@ -227,9 +227,7 @@ def test_x_vector_scales_with_rate_defect(grid):
 
 @pytest.fixture(scope="module")
 def short_tracked_run():
-    from szego_lab.soliton_manifold import default_grid
-
-    grid = default_grid()
+    grid = SpectralGrid(8192, 256.0)
     g0 = GroupElement(-3.0, 1.0, 0.0, 3.0)
     u0 = soliton_profile(g0, grid)
     traj = evolve_pde(u0, GAUSS, 1e-2, t_final=1.0, dt=5e-4, stride=100)

@@ -21,6 +21,7 @@ from szego_lab.spectral_core import (
     HardyField,
     SpectralGrid,
     from_spectrum,
+    random_rational_field,
     spectrum,
     szego_project,
 )
@@ -29,6 +30,7 @@ from szego_lab.operators import (
     gaussian_potential,
     hamiltonian,
     mass,
+    momentum,
     sech2_potential,
     table_potential,
     toeplitz_apply,
@@ -298,7 +300,7 @@ def test_fft_only_on_the_rk4_path(monkeypatch):
     for module in (dynamics, decomposition):
         monkeypatch.setattr(module, "abc_pairing", guarded(module.abc_pairing))
     monkeypatch.setattr(cli, "evolve_pde", guarded(cli.evolve_pde, rk4))
-    report, _ = _run_tracked(cfg)
+    report, _, _ = _run_tracked(cfg)
     assert report.times.size == 11
     assert calls["inside"] == 0
     assert 8 * 10 <= calls["all"] <= 8 * 10 + 3
@@ -340,6 +342,26 @@ def test_perturbed_run_conserves_mass_and_energy(grid):
     m0 = mass(traj.fields[0])
     m1 = mass(traj.fields[-1])
     assert abs(m1 - m0) / m0 <= traj.mass_drift + 1e-15
+    # the in-loop momentum sum against momentum() of the stored samples
+    p = np.array([momentum(f) for f in traj.fields])
+    assert traj.momentum_drift > 1e-7
+    assert abs(traj.momentum_drift - np.max(np.abs(p - p[0])) / p[0]) < 1e-13
+
+
+@given(seed=st.integers(0, 2**31 - 1))
+def test_flow_conserves_mass_energy_and_free_momentum(seed):
+    # random rational data: mass and H_b are conserved with and without
+    # the potential, and the momentum at eps = 0, where the cubic Szego
+    # flow conserves it (Gerard & Grellier, Ann. Sci. ENS 2010)
+    grid = SpectralGrid(1024, 64.0)
+    u0 = random_rational_field(grid, np.random.default_rng(seed))
+    free = evolve_pde(u0, eps=0.0, t_final=0.25, dt=1e-3, stride=25)
+    assert free.mass_drift < 1e-12
+    assert free.hamiltonian_drift < 1e-12
+    assert free.momentum_drift < 1e-12
+    pert = evolve_pde(u0, gaussian_potential(1.0, 0.0, 1.0), 1e-2, 0.25, 1e-3, 25)
+    assert pert.mass_drift < 1e-12
+    assert pert.hamiltonian_drift < 1e-12
 
 
 # ------------------------------------------------------------- averaged flow

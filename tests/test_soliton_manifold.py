@@ -17,20 +17,17 @@ from szego_lab.soliton_manifold import (
     GroupElement,
     act,
     compose,
-    default_grid,
     family_drift_rate,
     family_mass_constant,
     family_shape,
     family_spectrum,
     frame_gram,
     generator_spectra,
-    hamiltonian_field_on_M,
     identity,
     inverse,
     manifold_project,
     mass_log_slope,
     omega_eta_matrix,
-    omega_on_M,
     soliton_profile,
     tangent_frame_spectra,
 )
@@ -224,43 +221,6 @@ def test_manifold_project_kills_orthogonal_part(grid, rng):
     assert np.max(np.abs(z.as_array())) < 1e-9 * max(1.0, np.max(np.abs(y.as_array())))
 
 
-# ------------------------------------------------------- restricted geometry
-
-
-def test_omega_on_M_reduces_to_table_at_identity(grid, tail_tol):
-    M = omega_on_M(identity())
-    table = omega_eta_matrix(grid)
-    assert np.max(np.abs(M - table)) < tail_tol
-    assert_allclose(M, -M.T, atol=1e-14)
-
-
-def test_restricted_hamiltonian_field_gives_free_rates():
-    # quartic energy restricted to the family is (pi/8) alpha^4 mu^3; its
-    # symplectic gradient must reproduce the free drift and phase rates
-    for g in (identity(), GroupElement(2.0, 1.3, 0.5, 0.6)):
-        al, mu = g.alpha, g.mu
-        df = (0.0, np.pi * al**3 * mu**3 / 2, 0.0, 3 * np.pi * al**4 * mu**2 / 8)
-        X = hamiltonian_field_on_M(df, g)
-        assert_allclose(
-            X.as_array(),
-            [al**2 * mu / 2, 0.0, -(al**2) * mu**2 / 4, 0.0],
-            atol=1e-12,
-        )
-        # defining property: omega_M(. , X) = df
-        assert_allclose(omega_on_M(g) @ X.as_array(), df, atol=1e-12)
-
-
-def test_hamiltonian_field_rejects_degenerate_points():
-    # reachable only through a raw construction bypassing validation
-    bad = GroupElement.__new__(GroupElement)
-    object.__setattr__(bad, "a", 0.0)
-    object.__setattr__(bad, "alpha", -1.0)
-    object.__setattr__(bad, "phi", 0.0)
-    object.__setattr__(bad, "mu", 1.0)
-    with pytest.raises(ValueError):
-        hamiltonian_field_on_M((0.0, 0.0, 0.0, 0.0), bad)
-
-
 # ---------------------------------------------------------- family constants
 
 
@@ -289,9 +249,3 @@ def test_family_drift_rate_continuum_limit(grid):
     for alpha, mu in ((1.0, 1.0), (1.2, 3.0)):
         c = family_drift_rate(alpha, mu, grid)
         assert abs(c - alpha**2 * mu / 2) < 2e-2 * alpha**2 * mu
-
-
-def test_default_grid_shape():
-    g = default_grid()
-    assert g.n_points == 8192
-    assert g.box_length == 256.0

@@ -17,7 +17,6 @@ from szego_lab.spectral_core import (
     sobolev_norm,
     spectrum,
     symplectic_pair,
-    synthesize,
     szego_project,
 )
 
@@ -124,7 +123,7 @@ def test_eta_field_resembles_cauchy_kernel(grid):
     # interior agreement; the box tail carries the truncation error
     mid = np.abs(grid.x) < 32
     assert np.max(np.abs(eta.values[mid] - target[mid])) < 2e-2
-    assert eta.negative_mass_fraction == 0.0
+    assert np.all(eta.spectrum[~grid.nonneg] == 0)
 
 
 def test_sobolev_norm_cases(grid, tail_tol):
@@ -144,20 +143,6 @@ def test_sobolev_norm_rejects_other_exponents(grid):
         sobolev_norm(eta, s=1.0)
 
 
-def test_synthesize_flags_nonanalytic_samples(grid):
-    # pointwise eta samples leak a small negative-frequency fraction
-    u = synthesize(lambda x: 1.0 / (x + 1j), grid)
-    assert 0.0 < u.negative_mass_fraction < 1e-3
-    # a band-limited Hardy function synthesizes cleanly
-    v = synthesize(lambda x: np.exp(1j * 2 * np.pi * 8 * x / 256.0), grid)
-    assert v.negative_mass_fraction < 1e-12
-
-
-def test_synthesize_mass_near_continuum(grid, tail_tol):
-    u = synthesize(lambda x: 1.0 / (x + 1j), grid)
-    assert abs(u.norm_l2() ** 2 - np.pi) < tail_tol
-
-
 def test_random_hardy_field_properties(grid):
     u1 = random_hardy_field(grid, np.random.default_rng(7))
     u2 = random_hardy_field(grid, np.random.default_rng(7))
@@ -169,7 +154,7 @@ def test_random_hardy_field_properties(grid):
 def test_random_rational_field_properties(grid):
     u = random_rational_field(grid, np.random.default_rng(11))
     assert abs(u.norm_l2() - 1.0) < 1e-10
-    assert u.negative_mass_fraction < 1e-8
+    assert np.all(u.spectrum[~grid.nonneg] == 0)
 
 
 def test_quadrature_constant(grid):
