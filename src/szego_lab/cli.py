@@ -14,8 +14,8 @@ import argparse
 import json
 import math
 import os
+import signal
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -353,28 +353,69 @@ _SWEEP_SLOPES = [("sup_w_h12", "power_w_h12"), ("sup_dev_a", "power_a"),
                  ("sup_dev_mu", "power_mu")]
 
 
+def _tracked_or_error(cfg: dict):
+    """_run_tracked(cfg), or the exception it raised.  The name is looked
+    up at call time, so a forked worker runs whatever wraps or replaces
+    it in the parent (the benchmark tracer, a test's monkeypatch)."""
+    try:
+        return _run_tracked(cfg)
+    except Exception as exc:   # reported per member by the caller
+        return exc
+
+
+def _end_with_parent(parent: int) -> None:
+    """Initializer of a forked worker: Linux kills it when the process
+    that forked it ends, however that ends, so a killed sweep leaves no
+    worker idling on its task queue.  Elsewhere this does nothing."""
+    import ctypes
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl(1, signal.SIGKILL)   # PR_SET_PDEATHSIG
+    if os.getppid() != parent:     # it ended before prctl took effect
+        os._exit(1)
+
+
+def _map_tracked(cfgs: list, parallel: int) -> list:
+    """_run_tracked of each config, or the exception that run raised,
+    `parallel` configs at a time.  With k = min(parallel, len(cfgs)),
+    this process runs configs 0, k, 2k, ... itself and k - 1 workers run
+    the rest; at k = 1 nothing is forked.  Members share no state, and
+    in separate processes their short ufuncs and the Python glue between
+    them do not contend for one GIL.  Workers are forked, not spawned:
+    they start with the package imported and with this process's module
+    attributes."""
+    k = min(parallel, len(cfgs))
+    if k <= 1:
+        return [_tracked_or_error(c) for c in cfgs]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(k - 1, mp_context=fork,
+                             initializer=_end_with_parent,
+                             initargs=(os.getpid(),)) as pool:
+        futs = {i: pool.submit(_tracked_or_error, c)
+                for i, c in enumerate(cfgs) if i % k}
+        out = [_tracked_or_error(c) if i % k == 0 else None
+               for i, c in enumerate(cfgs)]
+        for i, fut in futs.items():
+            try:
+                out[i] = fut.result()
+            except Exception as exc:   # worker died or result unpicklable
+                out[i] = exc
+    return out
+
+
 def cmd_sweep(cfg: dict, outdir: str, with_plots: bool, parallel: int) -> int:
     eps_list = [float(v) for v in cfg["eps_list"]]
-    members = []
-    for eps in eps_list:
-        mcfg = dict(cfg)
-        mcfg["eps"] = eps
-        members.append(mcfg)
-
     results = {}
     failure = None
-    with ThreadPoolExecutor(max_workers=parallel) as pool:
-        # each member drops its trajectory in its own thread: held in the
-        # futures until the pool closed, it raised the threaded sweep's
-        # peak RSS by about 0.5 MiB
-        futs = {pool.submit(lambda m: _run_tracked(m)[:2], m): m["eps"]
-                for m in members}
-        for fut, eps in futs.items():
-            try:
-                results[eps] = fut.result()
-            except Exception as exc:   # preserve partial results on abort
-                if failure is None:
-                    failure = (eps, exc)
+    for eps, res in zip(eps_list, _map_tracked(
+            [dict(cfg, eps=eps) for eps in eps_list], parallel)):
+        if isinstance(res, Exception):
+            if failure is None:
+                failure = (eps, res)
+        else:
+            results[eps] = res[:2]
     for eps in sorted(results, reverse=True):
         sub = os.path.join(outdir, f"eps_{eps:g}")
         os.makedirs(sub, exist_ok=True)
@@ -438,8 +479,10 @@ def main(argv=None) -> int:
     ap.add_argument("--config", help="JSON experiment config")
     ap.add_argument("--out", help="output directory (overrides config)")
     ap.add_argument("--plots", action="store_true", help="also write SVG plots")
-    ap.add_argument("--parallel", type=int, default=1,
-                    help="sweep worker pool size")
+    ap.add_argument("--parallel", type=int, default=1, metavar="N",
+                    help="sweep members run at once: one in this process, "
+                         "the others in forked workers (N > 1 needs the "
+                         "POSIX fork start method)")
     args = ap.parse_args(argv)
     if args.parallel < 1:
         ap.error("--parallel must be at least 1")

@@ -323,7 +323,7 @@ def evolve_pde(u0: HardyField, b: PotentialSpec = None, eps: float = 0.0,
     fields = []
     on_sample = on_sample or (lambda t, f: fields.append(f))
     N = grid.n_points // 2
-    # work buffers belong to this call: sweep members run on threads
+    # work buffers belong to this call
     V = u0.spectrum[:N] * grid._inv_phase[:N]
     Y = np.empty_like(V)
     acc = np.empty_like(V)

@@ -69,7 +69,7 @@ class SpectralGrid:
         object.__setattr__(self, "nonneg", nonneg)
         object.__setattr__(self, "xi_pos", xi[nonneg])
         # spectral moments are products with this table; built here, not
-        # on first use, because sweep members on threads share the grid
+        # on first use, so a grid is never written after it is made
         object.__setattr__(self, "xi_powers", np.vstack(
             [np.ones(n // 2), xi[:n // 2], xi[:n // 2] ** 2]))
         # e^{+-i pi k/(n/2)}, k < n/2: the odd-sample twiddles that split a

@@ -3,10 +3,12 @@
 Nine criteria, each printing a single PASS/FAIL line (run with -s to see
 them).  The perturbed transits dominate the runtime, so they are shared
 module-wide; each is the CLI's own tracked run (cli._run_tracked) on a
-fixed-horizon config.  Every tolerance here is pinned against the
-default grid (8192 points, box 256).
+fixed-horizon config, up to four at once through cli._map_tracked.
+Every tolerance here is pinned against the default grid (8192 points,
+box 256).
 """
 
+import os
 import time
 
 import numpy as np
@@ -20,7 +22,7 @@ from szego_lab.checks import (
     kernel_witness_residual,
     symplectic_table_error,
 )
-from szego_lab.cli import _run_tracked
+from szego_lab.cli import _map_tracked
 from szego_lab.operators import gaussian_potential
 from szego_lab.soliton_manifold import GroupElement, identity, soliton_profile
 from szego_lab.dynamics import EffectiveState, evolve_effective, evolve_pde
@@ -67,9 +69,16 @@ def _transit_config(eps):
 
 @pytest.fixture(scope="module")
 def transit():
-    """eps -> (report, metrics, trajectory) of its tracked run."""
+    """eps -> (report, metrics, trajectory) of its tracked run, as many
+    at once as this process may use cores, at most four."""
     t0 = time.time()
-    runs = {eps: _run_tracked(_transit_config(eps)) for eps in SWEEP_EPS + (5e-3,)}
+    eps_all = SWEEP_EPS + (5e-3,)
+    results = _map_tracked([_transit_config(eps) for eps in eps_all],
+                           min(4, len(os.sched_getaffinity(0))))
+    for res in results:
+        if isinstance(res, Exception):
+            raise res
+    runs = dict(zip(eps_all, results))
     runs["wall"] = time.time() - t0
     return runs
 

@@ -26,7 +26,8 @@ def test_validate_fails_on_the_bound_it_records(tmp_path, monkeypatch):
             if r[0] in ("mass_drift", "hamiltonian_drift")]
     monkeypatch.setattr(checks, "VALIDATE_ROWS", rows)
     monkeypatch.setattr(checks.Suite, "transit",
-                        SimpleNamespace(mass_drift=5e-8, hamiltonian_drift=1e-9))
+                        (SimpleNamespace(mass_drift=5e-8, hamiltonian_drift=1e-9),
+                         None))
     assert main(["validate", "--out", str(tmp_path)]) == 1
     assert json.loads((tmp_path / "validate.json").read_text()) == {
         "mass_drift": {"passed": False, "measured": 5e-8, "bound": 1e-8},

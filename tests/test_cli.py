@@ -1,10 +1,13 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -397,19 +400,100 @@ def test_sweep_rejects_a_pool_below_one_worker(tmp_path, capsys, parallel):
     assert not out.exists()
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
-    # members on a thread pool must not share integrator state
+@pytest.mark.parametrize("parallel", ["2", "3"])
+def test_sweep_parallel_matches_serial(tmp_path, parallel):
+    # members in forked workers must write what one process writes
     path = write_config(tmp_path, tiny_config(eps_list=[4e-2, 2e-2, 1e-2]))
     outs = []
-    for parallel in ("2", "1"):
-        out = tmp_path / f"p{parallel}"
+    for p in (parallel, "1"):
+        out = tmp_path / f"p{p}"
         assert main(["sweep", "--config", path, "--out", str(out),
-                     "--parallel", parallel]) == 0
+                     "--parallel", p]) == 0
         outs.append(out)
+    got, want = (o / "sweep_summary.json" for o in outs)
+    assert got.read_bytes() == want.read_bytes()
     for eps in (0.04, 0.02, 0.01):
         for name in ("track.csv", "metrics.json"):
             got, want = (o / f"eps_{eps:g}" / name for o in outs)
             assert got.read_bytes() == want.read_bytes(), (eps, name)
+
+
+def test_sweep_reports_a_member_that_fails_in_a_worker(tmp_path, capsys,
+                                                        monkeypatch):
+    # at --parallel 2 this process runs eps 0.04 and 0.01, the one
+    # forked worker eps 0.02, which inherits the patched _run_tracked
+    real = cli._run_tracked
+
+    def fail_002(cfg):
+        if cfg["eps"] == 0.02:
+            raise RuntimeError("injected")
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "_run_tracked", fail_002)
+    path = write_config(tmp_path, tiny_config(eps_list=[4e-2, 2e-2, 1e-2]))
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", path, "--out", str(out),
+                 "--parallel", "2"]) == 1
+    assert "member eps=0.02 failed: injected" in capsys.readouterr().err
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert summary["failed_eps"] == 0.02
+    assert summary["error"] == "RuntimeError: injected"
+    assert summary["completed"] == [0.04, 0.01]
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) \
+        == ["eps_0.01", "eps_0.04"]
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_in_one_process_forks_nothing(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    path = write_config(tmp_path, tiny_config(eps_list=[4e-2, 2e-2, 1e-2]))
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "s"),
+                 "--parallel", "1"]) == 0
+
+
+@pytest.mark.skipif(not Path(f"/proc/self/task/{os.getpid()}/children").exists(),
+                    reason="reads the process tree from Linux /proc")
+def test_sweep_worker_ends_with_a_killed_cli(tmp_path):
+    # a worker idles on its task queue once its member is done; if the
+    # CLI is killed it must not be left behind
+    cfg = tiny_config(eps_list=[4e-2, 2e-2, 1e-2],
+                      t_final={"policy": "fixed", "value": 30.0})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "szego_lab.cli", "sweep", "--config",
+         write_config(tmp_path, cfg), "--out", str(tmp_path / "s"),
+         "--parallel", "2"],
+        env=dict(os.environ, PYTHONPATH=src), stdin=subprocess.DEVNULL,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+    deadline = time.monotonic() + 60
+    try:
+        while not children.read_text().split():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        worker = int(children.read_text().split()[0])
+    finally:
+        proc.kill()
+        proc.wait()
+
+    def alive():
+        try:   # a zombie has ended, whether or not it was reaped
+            stat = Path(f"/proc/{worker}/stat").read_text()
+        except FileNotFoundError:
+            return False
+        return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+    try:
+        while alive():
+            assert time.monotonic() < deadline + 10, \
+                f"worker {worker} outlived the CLI"
+            time.sleep(0.05)
+    finally:
+        if alive():
+            os.kill(worker, signal.SIGKILL)
 
 
 # ------------------------------------------------------------ streamed runs
