@@ -29,8 +29,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
+from . import spectral_core
 from .spectral_core import HardyField, SpectralGrid
 from .operators import (
     PotentialSpec,
@@ -219,7 +219,7 @@ def _field(V: np.ndarray, grid: SpectralGrid, out: np.ndarray = None) -> np.ndar
     z = np.empty((2, V.size), dtype=complex) if out is None else out
     np.multiply(V, 0.5, out=z[0])
     np.multiply(z[0], grid.twiddle[0], out=z[1])
-    return scipy.fft.ifft(z, overwrite_x=True)
+    return spectral_core.ifft(z, out=z)
 
 
 def _raw_rhs(V: np.ndarray, grid: SpectralGrid, eb: np.ndarray = None,
@@ -246,7 +246,7 @@ def _raw_rhs(V: np.ndarray, grid: SpectralGrid, eb: np.ndarray = None,
     if eb is not None:
         w += eb
     u *= w
-    F = scipy.fft.fft(u, overwrite_x=True)
+    F = spectral_core.fft(u, out=u)
     F[1] *= grid.twiddle[1]
     F[0] += F[1]
     return F[0]

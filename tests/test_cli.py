@@ -548,9 +548,10 @@ def test_streamed_run_memory_does_not_grow_with_samples():
 
 
 def test_commands_leave_scipy_integrate_and_interpolate_unloaded(tmp_path):
-    # the effective ODE runs on dynamics._rk45 and the splines are
-    # imported only by table potentials and non-family rescales, so no
-    # command pays for either subpackage at start-up
+    # the effective ODE runs on dynamics._rk45, the splines are imported
+    # only by table potentials and non-family rescales, and the FFTs call
+    # the compiled pocketfft directly, so no command pays for any of these
+    # subpackages at start-up
     path = write_config(tmp_path, tiny_config(eps_list=[4e-2, 2e-2, 1e-2]))
     argvs = [[cmd, "--config", path, "--out", str(tmp_path / cmd), *extra]
              for cmd, *extra in (["simulate"], ["effective"], ["track", "--plots"],
@@ -558,7 +559,8 @@ def test_commands_leave_scipy_integrate_and_interpolate_unloaded(tmp_path):
     argvs.append(["validate", "--out", str(tmp_path / "validate")])
     script = ("import sys\nfrom szego_lab import cli\n"
               f"for argv in {argvs!r}:\n    assert cli.main(argv) == 0, argv\n"
-              "print(sorted({'scipy.integrate', 'scipy.interpolate'} & set(sys.modules)))")
+              "print(sorted({'scipy.fft', 'scipy.integrate', 'scipy.interpolate'}"
+              " & set(sys.modules)))")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))

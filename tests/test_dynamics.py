@@ -1,14 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.fft
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
-from szego_lab import cli, decomposition, dynamics
+from szego_lab import cli, decomposition, dynamics, spectral_core
 from szego_lab.cli import (
     SPECTRAL_TAIL_MAX,
     _run_tracked,
@@ -273,15 +275,15 @@ def test_fft_only_on_the_rk4_path(monkeypatch):
     calls = {"all": 0, "inside": 0}
     depth = [0]
     rk4 = [0]
-    batches = []    # (shape, n, axis) of each transform inside the RK4 loop
+    batches = []    # (shape, axis) of each transform inside the RK4 loop
 
     def counted(fn):
-        def wrapper(x, n=None, axis=-1, *args, **kwargs):
+        def wrapper(a, out=None):
             calls["all"] += 1
             calls["inside"] += depth[0] > 0
             if rk4[0] and not depth[0]:
-                batches.append((np.shape(x), n, axis))
-            return fn(x, n, axis, *args, **kwargs)
+                batches.append((a.shape, a.ndim - 1))   # the pair's axis
+            return fn(a, out)
         return wrapper
 
     def guarded(fn, depth=depth):
@@ -293,8 +295,9 @@ def test_fft_only_on_the_rk4_path(monkeypatch):
                 depth[0] -= 1
         return wrapper
 
+    # dynamics and spectral_core both look the pair up on spectral_core
     for name in ("fft", "ifft"):
-        monkeypatch.setattr(scipy.fft, name, counted(getattr(scipy.fft, name)))
+        monkeypatch.setattr(spectral_core, name, counted(getattr(spectral_core, name)))
     monkeypatch.setattr(Tracker, "add", guarded(Tracker.add))
     monkeypatch.setattr(Tracker, "report", guarded(Tracker.report))
     for module in (dynamics, decomposition):
@@ -306,7 +309,37 @@ def test_fft_only_on_the_rk4_path(monkeypatch):
     assert 8 * 10 <= calls["all"] <= 8 * 10 + 3
     # every RK4 transform is one (2, n/2) batch along the last axis
     assert len(batches) >= 8 * 10
-    assert set(batches) == {((2, 1024), None, -1)}
+    assert set(batches) == {((2, 1024), 1)}
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="glibc malloc thresholds")
+def test_rk4_step_reuses_freed_fft_scratch():
+    # pocketfft allocates and frees 384 KiB of scratch per call at
+    # n = 16384; returned to the OS each time, it cost 768 minor page
+    # faults a step.  A fresh process, so that no scipy.fft import from
+    # another test sets the malloc thresholds instead of spectral_core.
+    script = (
+        "import resource\n"
+        "from szego_lab.dynamics import evolve_pde\n"
+        "from szego_lab.operators import gaussian_potential\n"
+        "from szego_lab.soliton_manifold import GroupElement, soliton_profile\n"
+        "from szego_lab.spectral_core import SpectralGrid\n"
+        "u0 = soliton_profile(GroupElement(-3.0, 1.0, 0.0, 3.0),"
+        " SpectralGrid(16384, 512.0))\n"
+        "run = lambda steps: evolve_pde(u0, gaussian_potential(), 1e-2,"
+        " t_final=steps * 5e-4, dt=5e-4, stride=steps, on_sample=lambda t, f: None)\n"
+        "run(5)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "run(20)\n"
+        "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)\n")
+    src = str(Path(dynamics.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 8
 
 
 def test_free_soliton_follows_closed_form(grid):

@@ -1,8 +1,13 @@
+import importlib.util
+import re
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
+from szego_lab import spectral_core
 from szego_lab.spectral_core import (
     HardyField,
     SpectralGrid,
@@ -43,6 +48,33 @@ def test_grid_rejects_bad_point_count(n):
 def test_grid_rejects_bad_box():
     with pytest.raises(ValueError):
         SpectralGrid(1024, -2.0)
+
+
+@pytest.mark.parametrize("name", ["fft", "ifft"])
+@pytest.mark.parametrize("shape", [(8192,), (2, 4096)], ids=["n", "batch"])
+def test_fft_pair_is_bitwise_scipy_fft(name, shape, rng):
+    # the pair calls the compiled module scipy.fft wraps, loaded from its
+    # file; importing scipy.fft here loads that file again under scipy's
+    # own name, and both must give the same bits, in place or not
+    import scipy.fft
+
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    want = getattr(scipy.fft, name)(a).tobytes()
+    transform = getattr(spectral_core, name)
+    fresh = transform(a)
+    assert fresh.tobytes() == want and not np.shares_memory(fresh, a)
+    b = a.copy()
+    assert transform(b, out=b) is b
+    assert b.tobytes() == want
+
+
+def test_fft_loader_names_the_path_it_searched(monkeypatch, tmp_path):
+    # a scipy without the compiled module is an ImportError, not a
+    # fallback to another FFT
+    found = types.SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: found)
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "fft" / "_pocketfft"))):
+        spectral_core._load_pocketfft()
 
 
 def test_spectrum_roundtrip(grid, rng):
