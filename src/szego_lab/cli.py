@@ -42,7 +42,7 @@ from .decomposition import (
     theorem_metrics,
     track,  # unused here; perfbench's tracer wraps cli.track at install
 )
-from . import checks, plots
+from . import plots
 
 _POTENTIAL_KINDS = ("gaussian", "sech2", "constant", "table")
 # largest family-spectrum tail exp(-xi_max/mu0) left at the top grid bin
@@ -457,6 +457,7 @@ def cmd_sweep(cfg: dict, outdir: str, with_plots: bool, parallel: int) -> int:
 
 
 def cmd_validate(outdir: str) -> int:
+    from . import checks  # its random draws load numpy.random; no run needs it
     suite = checks.Suite()
     width = max(len(row[0]) for row in checks.VALIDATE_ROWS)
     results = {}

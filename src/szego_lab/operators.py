@@ -63,12 +63,11 @@ class PotentialSpec:
     def __post_init__(self):
         lo, hi = self.support_hint if self.support_hint else (-20.0, 20.0)
         lo, hi = lo - 2.0, hi + 2.0
-        rng = np.random.default_rng(109)
-        pts = rng.uniform(lo, hi, size=16)
-        b = np.asarray(self.eval_b(pts), dtype=float)
-        db = np.asarray(self.eval_db(pts), dtype=float)
+        # 16 fixed check points (golden-ratio sequence): no numpy.random
+        pts = lo + (hi - lo) * ((0.6180339887498949 * np.arange(1, 17)) % 1.0)
         if np.iscomplexobj(self.eval_b(pts)):
             raise ValueError("potential must be real-valued")
+        db = np.asarray(self.eval_db(pts), dtype=float)
         # two-sided difference at h ~ cbrt(eps) balances truncation
         # against cancellation; 1e-6 absolute-over-scale tolerance
         h = 1e-5
@@ -79,8 +78,9 @@ class PotentialSpec:
         ys = np.linspace(lo, hi, 16384)
         dy = ys[1] - ys[0]
         dbs = np.abs(np.asarray(self.eval_db(ys), dtype=float))
-        object.__setattr__(self, "sup_b", float(np.max(np.abs(b))) if self.sup_b is None
-                           else self.sup_b)
+        if self.sup_b is None:
+            bs = np.abs(np.asarray(self.eval_b(ys), dtype=float))
+            object.__setattr__(self, "sup_b", float(np.max(bs)))
         if self.l1_db is None:
             object.__setattr__(self, "l1_db", float(np.sum(dbs) * dy))
         if self.l2_db is None:

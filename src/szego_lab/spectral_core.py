@@ -116,7 +116,10 @@ class SpectralGrid:
             raise ValueError("box_length must be positive")
         dx = L / n
         x = -L / 2 + dx * np.arange(n)
-        xi = 2 * np.pi * np.fft.fftfreq(n, d=dx)
+        # bitwise 2 pi numpy.fft.fftfreq(n, dx), without importing numpy.fft
+        k = np.arange(n)
+        k[n // 2:] -= n
+        xi = 2 * np.pi * (k * (1.0 / (n * dx)))
         # Nyquist lands on the negative side of fftfreq and is zeroed by
         # the projector, removing an untracked real degree of freedom.
         nonneg = xi >= 0

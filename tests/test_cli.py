@@ -551,15 +551,20 @@ def test_commands_leave_scipy_integrate_and_interpolate_unloaded(tmp_path):
     # the effective ODE runs on dynamics._rk45, the splines are imported
     # only by table potentials and non-family rescales, and the FFTs call
     # the compiled pocketfft directly, so no command pays for any of these
-    # subpackages at start-up
+    # subpackages at start-up.  The run commands also leave numpy.random
+    # (and the OpenSSL it loads through secrets and hashlib) and numpy.fft
+    # unloaded; only validate's random draws need numpy.random.
     path = write_config(tmp_path, tiny_config(eps_list=[4e-2, 2e-2, 1e-2]))
-    argvs = [[cmd, "--config", path, "--out", str(tmp_path / cmd), *extra]
-             for cmd, *extra in (["simulate"], ["effective"], ["track", "--plots"],
-                                 ["sweep", "--parallel", "2"])]
-    argvs.append(["validate", "--out", str(tmp_path / "validate")])
+    runs = [[cmd, "--config", path, "--out", str(tmp_path / cmd), *extra]
+            for cmd, *extra in (["simulate"], ["effective"], ["track", "--plots"],
+                                ["sweep", "--parallel", "2"])]
+    validate = ["validate", "--out", str(tmp_path / "validate")]
     script = ("import sys\nfrom szego_lab import cli\n"
-              f"for argv in {argvs!r}:\n    assert cli.main(argv) == 0, argv\n"
-              "print(sorted({'scipy.fft', 'scipy.integrate', 'scipy.interpolate'}"
+              f"for argv in {runs!r}:\n    assert cli.main(argv) == 0, argv\n"
+              "print('runs:', sorted({'numpy.random', 'numpy.fft', 'hashlib',"
+              " '_hashlib', 'secrets'} & set(sys.modules)))\n"
+              f"assert cli.main({validate!r}) == 0\n"
+              "print('all:', sorted({'scipy.fft', 'scipy.integrate', 'scipy.interpolate'}"
               " & set(sys.modules)))")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -567,7 +572,9 @@ def test_commands_leave_scipy_integrate_and_interpolate_unloaded(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip().splitlines()[-1] == "[]"
+    lines = done.stdout.strip().splitlines()
+    assert "runs: []" in lines
+    assert lines[-1] == "all: []"
 
 
 def test_benchmark_tracer_installs():

@@ -37,6 +37,9 @@ def test_grid_geometry(grid):
     assert np.array_equal(grid.xi_powers,
                           [np.ones_like(grid.xi_pos), grid.xi_pos, grid.xi_pos**2])
     assert grid.x[0] == -grid.box_length / 2
+    # the frequencies are numpy.fft.fftfreq's, bitwise
+    for g in (grid, SpectralGrid(16, 3.0), SpectralGrid(8192, 256.0)):
+        assert np.array_equal(g.xi, 2 * np.pi * np.fft.fftfreq(g.n_points, d=g.dx))
 
 
 @pytest.mark.parametrize("n", [100, 8, 0, -16])
