@@ -15,7 +15,6 @@ from .spectral_core import (
     inner_real,
     symplectic_pair,
     quadrature,
-    eta_field,
 )
 from .operators import (
     PotentialSpec,

@@ -13,9 +13,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral_core import (HardyField, SpectralGrid, eta_field, from_spectrum,
-                            inner_real, random_hardy_field,
-                            random_rational_field, sobolev_norm)
+from .spectral_core import (HardyField, SpectralGrid, from_spectrum, inner_real,
+                            random_hardy_field, random_rational_field,
+                            sobolev_norm)
 from .operators import (gaussian_potential, hankel_apply, hankel_rank,
                         kernel_witness, linearized_apply)
 from .soliton_manifold import (GroupElement, generator_spectra, identity,
@@ -56,7 +56,7 @@ def coercivity_quotients(grid: SpectralGrid, rng: np.random.Generator,
 def hankel_ranks(grid: SpectralGrid) -> tuple:
     """Numerical ranks of the Hankel operators of eta and eta^2, (1, 2)
     on the rank-one family."""
-    eta = eta_field(grid)
+    eta = soliton_profile(identity(), grid)
     return (hankel_rank(eta).rank_estimate,
             hankel_rank(HardyField(grid, eta.values ** 2)).rank_estimate)
 
@@ -65,7 +65,7 @@ def kernel_witness_residual(grid: SpectralGrid, rng: np.random.Generator,
                             count: int) -> float:
     """Largest ||H_{eta^2} k(h)|| / ||h|| over `count` random rational
     fields h, with k(h) the kernel witness."""
-    symbol = HardyField(grid, eta_field(grid).values ** 2)
+    symbol = HardyField(grid, soliton_profile(identity(), grid).values ** 2)
     worst = 0.0
     for _ in range(count):
         h = random_rational_field(grid, rng)

@@ -106,8 +106,10 @@ def validate_config(cfg: dict, need_sweep: bool = False) -> list:
             and len(xs) == len(vs) and len(xs) >= 4 and all(map(_real, xs + vs))
         _check(e, "potential.x/values", ok,
                "need two equal-length lists of at least 4 finite numbers")
+    # a sweep member's eps comes from eps_list, checked below
     eps = cfg.get("eps")
-    _check(e, "eps", _real(eps) and eps >= 0, "must be a number >= 0")
+    _check(e, "eps", need_sweep or (_real(eps) and eps >= 0),
+           "must be a number >= 0")
     delta = cfg.get("delta", 0.35)
     _check(e, "delta", _real(delta) and 0 < delta < 0.5,
            "must lie strictly inside (0, 1/2)")
@@ -121,7 +123,7 @@ def validate_config(cfg: dict, need_sweep: bool = False) -> list:
     if policy == "theorem_horizon":
         c0 = tf.get("c0_fit", 32.0)
         _check(e, "t_final.c0_fit", _real(c0) and c0 > 1, "must be > 1")
-        _check(e, "eps", _real(eps) and eps > 0,
+        _check(e, "eps", need_sweep or (_real(eps) and eps > 0),
                "theorem_horizon needs eps > 0")
     dt = cfg.get("dt", 5e-4)
     _check(e, "dt", _real(dt) and dt > 0, "must be positive")
@@ -139,8 +141,8 @@ def validate_config(cfg: dict, need_sweep: bool = False) -> list:
                    "values must be distinct, decreasing and geometrically spaced")
     if not e:
         # every sweep member runs to the horizon of its own eps
-        for v in (cfg["eps_list"] if need_sweep and policy == "theorem_horizon"
-                  else [eps]):
+        eps_values = cfg["eps_list"] if need_sweep else [eps]
+        for v in eps_values:
             m = dict(cfg, eps=v)
             _check(e, "t_final", _real(horizon(m) / dt) and run_horizon(m) >= dt,
                    f"horizon {horizon(m):.6g} at eps = {v:g} must hold one to "
@@ -153,7 +155,7 @@ def validate_config(cfg: dict, need_sweep: bool = False) -> list:
                f"bin exceeds {SPECTRAL_TAIL_MAX:g}; the grid does not resolve "
                "this scale (raise grid.n, or lower grid.L or mu0)")
     if not e:
-        _check_wrap(e, cfg, cfg["eps_list"] if need_sweep else [cfg["eps"]])
+        _check_wrap(e, cfg, eps_values)
     return e
 
 

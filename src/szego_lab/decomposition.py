@@ -37,10 +37,10 @@ from .soliton_manifold import (
     soliton_profile,
 )
 from .dynamics import (
-    CoefficientTriple,
     PdeTrajectory,
     abc_coefficients,
     abc_pairing,
+    free_flow,
 )
 
 __all__ = [
@@ -203,8 +203,7 @@ def reparametrize(u: HardyField, g_guess: GroupElement) -> Decomposition:
 
 
 def x_vector(g: GroupElement, gdot, b: PotentialSpec, eps: float,
-             grid: SpectralGrid = None,
-             coeffs: CoefficientTriple = None) -> LieVector:
+             grid: SpectralGrid = None) -> LieVector:
     """Defect of the parameter velocities against the effective flow:
 
         X1 = da mu - alpha^2 mu^2 / 2 + 2B
@@ -220,13 +219,13 @@ def x_vector(g: GroupElement, gdot, b: PotentialSpec, eps: float,
     da, dal, dphi, dmu = (float(v) for v in np.asarray(gdot, dtype=float))
     al, mu = g.alpha, g.mu
     if grid is None:
-        co = coeffs if coeffs is not None else abc_coefficients(g, b, eps)
+        co = abc_coefficients(g, b, eps)
         free = 0.5 * al**2 * mu
         return LieVector(da * mu - free * mu + 2.0 * co.B,
                          dal / al - co.C,
                          dphi + 0.25 * al**2 * mu**2 + co.A + co.B,
                          dmu / mu + 2.0 * co.C)
-    co = coeffs if coeffs is not None else abc_pairing(g, b, eps, grid)
+    co = abc_pairing(g, b, eps, grid)
     c = family_drift_rate(al, mu, grid)
     return LieVector((da - c) * mu + 2.0 * co.B,
                      dal / al - mass_log_slope(mu, grid) * co.C,
@@ -264,14 +263,6 @@ class TrackReport:
             fh.write(",".join(cols) + "\n")
             for i in range(self.times.size):
                 fh.write(",".join("%.17g" % col[i] for col in data) + "\n")
-
-
-def _warm_guess(g: GroupElement, dt: float, grid: SpectralGrid) -> GroupElement:
-    """Advance a converged g by the free rates; the O(eps dt) error is
-    far inside the Newton basin."""
-    c = family_drift_rate(g.alpha, g.mu, grid)
-    return GroupElement(g.a + c * dt, g.alpha,
-                        g.phi - (c**2 / g.alpha**2) * dt, g.mu)
 
 
 def _gdot_series(times: np.ndarray, params: np.ndarray) -> np.ndarray:
@@ -324,7 +315,8 @@ class Tracker:
     def add(self, t: float, u: HardyField) -> None:
         if self.rows:
             t_prev, g_prev = self.rows[-1][:2]
-            guess = _warm_guess(g_prev, t - t_prev, self.grid)
+            # the free rates; the O(eps dt) error is far inside the Newton basin
+            guess = free_flow(g_prev, t - t_prev, self.grid)
         else:
             self.m0, guess = mass(u), self.g0
         try:
@@ -411,9 +403,8 @@ def theorem_metrics(report: TrackReport, eps: float, delta: float) -> dict:
     }
     for key, p in _DEVIATION_POWERS.items():
         out[f"power_{key}"] = float(p(delta))
-    if report.w_l2 is not None:
-        rhs = (eps * report.w_l2 + report.w_h12**2 + report.w_h12**3)
-        valid = np.isfinite(report.x_norm) & (rhs > 1e-14)
-        out["c_fit"] = float(np.max(report.x_norm[valid] / rhs[valid])) \
-            if np.any(valid) else float("nan")
+    rhs = (eps * report.w_l2 + report.w_h12**2 + report.w_h12**3)
+    valid = np.isfinite(report.x_norm) & (rhs > 1e-14)
+    out["c_fit"] = float(np.max(report.x_norm[valid] / rhs[valid])) \
+        if np.any(valid) else float("nan")
     return out

@@ -11,16 +11,17 @@ corrections and is what the tracked-run comparisons use, because the
 grid family drifts at its own exact rate (family_drift_rate) rather
 than the continuum alpha^2 mu / 2.
 
-Only the RK4 steps of the PDE take FFTs, all of length n/2: the state
-is the n/2 nonnegative bins of a Hardy field, so by decimation in time
-its even and odd samples, and the Hardy projection of a pointwise
-product, are each one batched transform of a (2, n/2) array (_field,
-_raw_rhs).  The pairing route needs no transform: by discrete Parseval
-its pairings are sums over the grid of b times the family profile and
-its xi-weighted companion, and the family's spectrum is geometric, so
-both are closed-form geometric sums evaluated on the span of the
-potential's nonzero samples (abc_pairing).  A PDE sample interleaves
-the samples that the next step starts from.
+Only the RK4 steps of the PDE take FFTs, all of length n/2.  The state
+is the n/2 nonnegative raw bins of a Hardy field, and _raw_rhs, the one
+right-hand-side kernel, forms each pointwise product on the (2, n/2)
+rows of its even and odd samples and projects it, each a batched
+transform through spectral_core's half-length layout (hardy_rows,
+project_rows); a PDE sample (from_bins) interleaves the rows that the
+next step starts from.  The pairing route needs no transform: by
+discrete Parseval its pairings are sums over the grid of b times the
+family profile and its xi-weighted companion, and the family's spectrum
+is geometric, so both are closed-form geometric sums evaluated on the
+span of the potential's nonzero samples (abc_pairing).
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral_core
-from .spectral_core import HardyField, SpectralGrid
+from .spectral_core import (HardyField, SpectralGrid, from_bins, hardy_rows,
+                            project_rows, raw_bins)
 from .operators import (
     PotentialSpec,
     hamiltonian,
@@ -84,8 +85,8 @@ def _trapz(f: np.ndarray, dy: float) -> float:
     return float(dy * (np.sum(f) - 0.5 * (f[0] + f[-1])))
 
 
-def abc_coefficients(g: GroupElement, b: PotentialSpec, eps: float,
-                     n_quad: int = 1 << 17) -> CoefficientTriple:
+def abc_coefficients(g: GroupElement, b: PotentialSpec,
+                     eps: float) -> CoefficientTriple:
     """The coefficient integrals
     A = (eps/pi) int b(a + x/mu) |eta|^2 dx,
     B = (eps/pi) int b'(a + x/mu) x |eta|^2 dx / mu,
@@ -101,7 +102,7 @@ def abc_coefficients(g: GroupElement, b: PotentialSpec, eps: float,
     a, mu = g.a, g.mu
     # the potential's support padded by 8/mu, or a wide window around a
     lo, hi, pad = (*b.support_hint, 8.0 / mu) if b.support_hint else (a, a, 64.0)
-    y = np.linspace(lo - pad, hi + pad, n_quad)
+    y = np.linspace(lo - pad, hi + pad, 1 << 17)
     dy = y[1] - y[0]
     x = mu * (y - a)
     dens = mu / (x**2 + 1.0)          # |eta(mu(y-a))|^2 * mu
@@ -208,20 +209,6 @@ def abc_pairing(g: GroupElement, b: PotentialSpec, eps: float,
     return CoefficientTriple(A, B, C)
 
 
-def _field(V: np.ndarray, grid: SpectralGrid, out: np.ndarray = None) -> np.ndarray:
-    """u = ifft(V) from the n/2 nonnegative raw bins V (the rest vanish),
-    as the (2, n/2) rows of its even and odd samples.
-
-    Decimation in time (Cooley & Tukey, 1965): u[2m] = ifft_{n/2}(V)_m / 2
-    and u[2m+1] = ifft_{n/2}(V e^{i pi k/(n/2)})_m / 2, one batched inverse
-    transform, run in `out` when it is given.
-    """
-    z = np.empty((2, V.size), dtype=complex) if out is None else out
-    np.multiply(V, 0.5, out=z[0])
-    np.multiply(z[0], grid.twiddle[0], out=z[1])
-    return spectral_core.ifft(z, out=z)
-
-
 def _raw_rhs(V: np.ndarray, grid: SpectralGrid, eb: np.ndarray = None,
              u: np.ndarray = None, w: np.ndarray = None) -> np.ndarray:
     """The right-hand-side kernel on the n/2 nonnegative raw FFT bins.
@@ -230,51 +217,37 @@ def _raw_rhs(V: np.ndarray, grid: SpectralGrid, eb: np.ndarray = None,
     grid.nonneg; the others vanish.  Returns the same bins of
     fft(P(|u|^2 u + eb u)), the flow's right-hand side without its
     factor -i, which the caller applies; eb is eps b in the row layout of
-    _field.  P keeps exactly these bins of the length-n transform of g,
-    fft_{n/2}(g_even)_k + e^{-i pi k/(n/2)} fft_{n/2}(g_odd)_k, so the
+    spectral_core.hardy_rows, and P is spectral_core.project_rows, so the
     negative half is never formed.
 
-    A caller that already holds the rows u = _field(V, grid) passes them
-    and the kernel consumes them: the forward transform runs in u's
-    buffer and the result is a view of its first row.  w, if given, is a
+    A caller that already holds the rows u = hardy_rows(V, grid) passes
+    them and the kernel consumes them: the projection runs in u's buffer
+    and the result is a view of its first row.  w, if given, is a
     (2, n/2) float work array for |u|^2 + eb.
     """
     if u is None:
-        u = _field(V, grid)
+        u = hardy_rows(V, grid)
     w = np.abs(u, out=w)
     w *= w
     if eb is not None:
         w += eb
     u *= w
-    F = spectral_core.fft(u, out=u)
-    F[1] *= grid.twiddle[1]
-    F[0] += F[1]
-    return F[0]
+    return project_rows(u, grid)
 
 
 def _eb_rows(b: PotentialSpec, eps: float, grid: SpectralGrid) -> np.ndarray:
-    """eps b on the grid in the (even, odd) row layout of _field, or None."""
+    """eps b on the grid in the (even, odd) row layout of hardy_rows, or None."""
     if b is None or eps == 0.0:
         return None
     return np.multiply(b.on_grid(grid).reshape(-1, 2).T, eps, order="C")
-
-
-def _sample(grid: SpectralGrid, u: np.ndarray, V: np.ndarray) -> HardyField:
-    """The field with raw bins V and rows u = _field(V, grid), in fresh
-    length-n arrays: the rows interleaved, the spectrum zero above n/2."""
-    spec = np.zeros(grid.n_points, dtype=complex)
-    np.multiply(V, grid._fwd_phase[:V.size], out=spec[:V.size])
-    return HardyField(grid, u.T.flatten(), _spectrum=spec)
 
 
 def pde_rhs(u: HardyField, b: PotentialSpec = None, eps: float = 0.0) -> HardyField:
     """-i (P(|u|^2 u) + eps T_b u), the right-hand side of the flow,
     through the RK4 kernel _raw_rhs."""
     grid = u.grid
-    N = grid.n_points // 2
-    K = -1j * _raw_rhs(u.spectrum[:N] * grid._inv_phase[:N], grid,
-                       _eb_rows(b, eps, grid))
-    return _sample(grid, _field(K, grid), K)
+    K = -1j * _raw_rhs(raw_bins(u), grid, _eb_rows(b, eps, grid))
+    return from_bins(K, grid)
 
 
 @dataclass(frozen=True)
@@ -306,10 +279,10 @@ def evolve_pde(u0: HardyField, b: PotentialSpec = None, eps: float = 0.0,
     when a sample is taken: every `stride` steps, plus t = 0 and the
     final step.  The kernel's factor -i rides on the stage weights, and
     the stages run in buffers allocated once per call.  Each step starts
-    from the rows u = _field(V), which its first stage consumes.  A
-    sample interleaves those rows into fresh values and pads the bins
-    with zeros into a fresh spectrum, so it costs no transform.  Each
-    sample goes to `on_sample(t, field)` as it is made, and its drifts
+    from the rows u = hardy_rows(V), which its first stage consumes.  A
+    sample (from_bins) interleaves those rows into fresh values and pads
+    the bins with zeros into a fresh spectrum, so it costs no transform.
+    Each sample goes to `on_sample(t, field)` as it is made, and its drifts
     are taken; the momentum is the xi-weighted sum of |V|^2 over the
     bins, whose factor dx^2 / L cancels in the relative drift.
     The default sink keeps it in the returned `fields`; with any other,
@@ -322,16 +295,15 @@ def evolve_pde(u0: HardyField, b: PotentialSpec = None, eps: float = 0.0,
     eb = _eb_rows(b, eps, grid)
     fields = []
     on_sample = on_sample or (lambda t, f: fields.append(f))
-    N = grid.n_points // 2
     # work buffers belong to this call
-    V = u0.spectrum[:N] * grid._inv_phase[:N]
+    V = raw_bins(u0)
     Y = np.empty_like(V)
     acc = np.empty_like(V)
-    z = np.empty((2, N), dtype=complex)
-    w = np.empty((2, N))
-    u = _field(V, grid, z)
+    z = np.empty((2, V.size), dtype=complex)
+    w = np.empty((2, V.size))
+    u = hardy_rows(V, grid, z)
     times = [0.0]
-    f = _sample(grid, u, V)
+    f = from_bins(V, grid, u)
     m0 = mass(f)
     h0 = hamiltonian(f, b, eps)
     xi = grid.xi_pos
@@ -353,15 +325,15 @@ def evolve_pde(u0: HardyField, b: PotentialSpec = None, eps: float = 0.0,
             for offset, weight in stages:
                 np.multiply(K, offset, out=Y)
                 Y += V
-                K = _raw_rhs(Y, grid, eb, _field(Y, grid, z), w)
+                K = _raw_rhs(Y, grid, eb, hardy_rows(Y, grid, z), w)
                 np.multiply(K, weight, out=Y)
                 acc += Y
             V += acc
         if not np.all(np.isfinite(V)):
             raise DivergenceError(f"non-finite field at step {k} (t={k * dt:.6g})")
-        u = _field(V, grid, z)
+        u = hardy_rows(V, grid, z)
         if k % stride == 0 or k == n_steps:
-            f = _sample(grid, u, V)
+            f = from_bins(V, grid, u)
             times.append(k * dt)
             on_sample(k * dt, f)
             m_drift = max(m_drift, abs(mass(f) - m0) / m0)

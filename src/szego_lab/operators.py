@@ -23,6 +23,7 @@ from .spectral_core import (
     sobolev_norm,
     szego_project,
 )
+from .soliton_manifold import generator_spectra, identity, soliton_profile
 
 __all__ = [
     "PotentialSpec",
@@ -220,18 +221,15 @@ def _eta_pieces(grid: SpectralGrid):
     """Grid values of the family ground state, |eta|^2, and eta^2.
 
     eta^2 is synthesized from its own closed-form spectrum
-    -2 pi xi exp(-xi) rather than by squaring samples, keeping the
-    Hankel symbol an exact one-parameter family object.
+    -2 pi xi exp(-xi), the first generator spectrum at the identity,
+    rather than by squaring samples, keeping the Hankel symbol an exact
+    one-parameter family object.
     """
     key = (grid.n_points, grid.box_length)
     cached = _ETA_CACHE.get(key)
     if cached is None:
-        spec = np.zeros(grid.n_points, dtype=complex)
-        spec[grid.nonneg] = -2j * np.pi * np.exp(-grid.xi_pos)
-        eta = from_spectrum(grid, spec)
-        spec2 = np.zeros(grid.n_points, dtype=complex)
-        spec2[grid.nonneg] = -2 * np.pi * grid.xi_pos * np.exp(-grid.xi_pos)
-        eta_sq = from_spectrum(grid, spec2)
+        eta = soliton_profile(identity(), grid).values
+        eta_sq = from_spectrum(grid, generator_spectra(grid)[0])
         cached = (eta, np.abs(eta) ** 2, eta_sq)
         _ETA_CACHE[key] = cached
     return cached

@@ -6,6 +6,11 @@ coefficients vanish on strictly negative frequencies; the projector,
 norms, pairings and quadrature defined here are the primitives every
 other module consumes.
 
+The projector works on the half-length layout that the RK4 kernel in
+dynamics shares: a Hardy field as its n/2 nonnegative raw FFT bins and
+as the (2, n/2) rows of its even and odd samples, each one batched
+transform of the other by decimation in time (Cooley & Tukey, 1965).
+
 Fourier convention: spectrum(u)[k] approximates
 u_hat(xi_k) = int exp(-i xi_k x) u(x) dx with xi_k = 2 pi k / L, so the
 inverse carries the 1/(2 pi) and the discrete Parseval sum is
@@ -30,9 +35,12 @@ __all__ = [
     "inner_real",
     "symplectic_pair",
     "quadrature",
-    "eta_field",
     "spectrum",
     "from_spectrum",
+    "hardy_rows",
+    "project_rows",
+    "raw_bins",
+    "from_bins",
     "random_hardy_field",
     "random_rational_field",
 ]
@@ -190,12 +198,57 @@ def _check_same_grid(u: HardyField, v: HardyField):
         raise ValueError("fields live on different grids")
 
 
+def hardy_rows(V: np.ndarray, grid: SpectralGrid, out: np.ndarray = None) -> np.ndarray:
+    """u = ifft(V) from the n/2 nonnegative raw bins V (the rest vanish),
+    as the (2, n/2) rows of its even and odd samples.
+
+    u[2m] = ifft_{n/2}(V)_m / 2 and u[2m+1] = ifft_{n/2}(V e^{i pi k/(n/2)})_m / 2,
+    one batched inverse transform, run in `out` when it is given.
+    """
+    z = np.empty((2, V.size), dtype=complex) if out is None else out
+    np.multiply(V, 0.5, out=z[0])
+    np.multiply(z[0], grid.twiddle[0], out=z[1])
+    return ifft(z, out=z)
+
+
+def project_rows(g: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """The raw bins [0, n/2) of the Hardy projection of g, given as the
+    (2, n/2) complex rows of its even and odd samples.
+
+    P keeps exactly these bins of the length-n transform of g,
+    fft_{n/2}(g_even)_k + e^{-i pi k/(n/2)} fft_{n/2}(g_odd)_k.  The rows
+    are consumed: the transform runs in their buffer, and the result is a
+    view of its first row.
+    """
+    F = fft(g, out=g)
+    F[1] *= grid.twiddle[1]
+    F[0] += F[1]
+    return F[0]
+
+
+def raw_bins(h: HardyField) -> np.ndarray:
+    """The n/2 nonnegative raw FFT bins of a Hardy field, a fresh array."""
+    N = h.grid.n_points // 2
+    return h.spectrum[:N] * h.grid._inv_phase[:N]
+
+
+def from_bins(V: np.ndarray, grid: SpectralGrid, rows: np.ndarray = None) -> HardyField:
+    """The field with raw bins V, in fresh length-n arrays: its rows
+    (hardy_rows(V, grid), unless the caller already holds them)
+    interleaved, and its spectrum zero above n/2."""
+    if rows is None:
+        rows = hardy_rows(V, grid)
+    spec = np.zeros(grid.n_points, dtype=complex)
+    np.multiply(V, grid._fwd_phase[:V.size], out=spec[:V.size])
+    return HardyField(grid, rows.T.flatten(), _spectrum=spec)
+
+
 def szego_project(f, grid: SpectralGrid = None) -> HardyField:
-    """Zero all strictly negative frequencies (the Nyquist bin included)."""
+    """Zero all strictly negative frequencies (the Nyquist bin included),
+    on the half-length layout: project_rows of the rows of f."""
     grid, vals = _as_values(f, grid)
-    spec = spectrum(grid, vals)
-    spec[~grid.nonneg] = 0.0
-    return HardyField(grid, from_spectrum(grid, spec), _spectrum=spec)
+    rows = vals.reshape(-1, 2).T.astype(complex, order="C")
+    return from_bins(project_rows(rows, grid), grid)
 
 
 def sobolev_norm(h: HardyField, s: float = 0.5, homogeneous: bool = False) -> float:
@@ -236,28 +289,6 @@ def quadrature(samples, grid: SpectralGrid = None):
     """Periodic trapezoid rule, dx * sum(samples)."""
     grid, vals = _as_values(samples, grid)
     return grid.dx * np.sum(vals)
-
-
-def eta_spectrum(grid: SpectralGrid) -> np.ndarray:
-    """Spectrum of the ground soliton 1/(x+i): -2 pi i exp(-xi) on xi >= 0."""
-    spec = np.zeros(grid.n_points, dtype=complex)
-    spec[grid.nonneg] = -2j * np.pi * np.exp(-grid.xi_pos)
-    return spec
-
-
-def eta_field(grid: SpectralGrid) -> HardyField:
-    """Grid-native ground soliton.
-
-    Built from its geometric spectrum, so it is an exact member of the
-    discrete soliton family; it agrees with pointwise samples of
-    1/(x+i) up to the documented 1/L tail error, and its squared norm
-    tends to pi as L grows.
-    """
-    spec = eta_spectrum(grid)
-    from .soliton_manifold import identity  # local import to avoid a cycle
-
-    return HardyField(grid, from_spectrum(grid, spec), orbit=identity(),
-                      _spectrum=spec)
 
 
 def random_hardy_field(grid: SpectralGrid, rng: np.random.Generator,

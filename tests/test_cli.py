@@ -156,6 +156,27 @@ def test_sweep_needs_eps_list():
     assert any("eps_list" in e for e in validate_config(bad, need_sweep=True))
 
 
+@pytest.mark.parametrize("policy", [{"policy": "fixed", "value": 5.0},
+                                    {"policy": "theorem_horizon", "c0_fit": 32.0}],
+                         ids=["fixed", "theorem_horizon"])
+def test_sweep_config_needs_no_eps(policy):
+    # a member's eps comes from eps_list, so a sweep reads no "eps"; a
+    # single run still needs it
+    root = Path(__file__).resolve().parents[1]
+    cfg = json.loads((root / "configs" / "sweep.json").read_text())
+    del cfg["eps"]
+    cfg["t_final"] = policy
+    assert validate_config(cfg, need_sweep=True) == []
+    assert any(e.startswith("eps: ") for e in validate_config(cfg))
+    # the horizon and wrap checks still run over eps_list
+    short = dict(cfg, dt=6.0, t_final={"policy": "fixed", "value": 5.0})
+    errors = validate_config(short, need_sweep=True)
+    assert errors and all(e.startswith("t_final: horizon 5 at eps = ") for e in errors)
+    far = dict(cfg, soliton=dict(cfg["soliton"], a0=125.0))
+    errors = validate_config(far, need_sweep=True)
+    assert errors[0].startswith("soliton.a0: the free soliton starts at a = 125")
+
+
 @pytest.mark.parametrize("eps_list", [[1e-2, 1e-2, 1e-2], [1e-2, 2e-2, 4e-2]],
                          ids=["repeated", "increasing"])
 def test_sweep_rejects_eps_lists_that_do_not_decrease(tmp_path, capsys, eps_list):

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 from szego_lab.spectral_core import (
     HardyField,
     SpectralGrid,
-    eta_field,
     from_spectrum,
     inner_real,
     quadrature,
@@ -30,7 +29,8 @@ from szego_lab.operators import (
     table_potential,
     toeplitz_apply,
 )
-from szego_lab.soliton_manifold import family_mass_constant, generator_spectra, manifold_project
+from szego_lab.soliton_manifold import (family_mass_constant, generator_spectra,
+                                       identity, manifold_project, soliton_profile)
 
 
 # ---------------------------------------------------------------- potentials
@@ -125,7 +125,7 @@ def test_hankel_symmetric_bilinear(grid, seed):
 
 
 def test_hankel_rank_of_cauchy_powers(grid):
-    eta = eta_field(grid)
+    eta = soliton_profile(identity(), grid)
     d1 = hankel_rank(eta)
     assert d1.rank_estimate == 1
     d2 = hankel_rank(HardyField(grid, eta.values**2))
@@ -142,11 +142,12 @@ def test_hankel_rank_of_cauchy_powers(grid):
 def test_hankel_rank_needs_enough_modes():
     small = SpectralGrid(256, 64.0)
     with pytest.raises(ValueError):
-        hankel_rank(eta_field(small))  # default m wants 511 modes, grid has 128
+        # default m wants 511 modes, grid has 128
+        hankel_rank(soliton_profile(identity(), small))
 
 
 def test_hankel_rank_reports_symmetry(grid):
-    d = hankel_rank(eta_field(grid))
+    d = hankel_rank(soliton_profile(identity(), grid))
     assert d.symmetry_defect < 1e-12
 
 
@@ -162,7 +163,7 @@ def test_kernel_witness_preserves_norm(grid, rng):
 
 
 def test_kernel_witness_annihilated_by_hankel(grid):
-    eta = eta_field(grid)
+    eta = soliton_profile(identity(), grid)
     symbol = HardyField(grid, eta.values**2)
     rg = np.random.default_rng(5)
     worst = 0.0
@@ -179,7 +180,7 @@ def test_witness_of_soliton_closed_form(grid, tail_tol):
     # symbol carries a 2 pi / box_length quadrature bias at its peak, so
     # the identity is pinned at twice the usual truncation floor; a sign
     # error anywhere in L would show up at order one.
-    eta = eta_field(grid)
+    eta = soliton_profile(identity(), grid)
     out = linearized_apply(kernel_witness(eta))
     q = (grid.x - 1j) / (grid.x + 1j)
     expected = q * q * (0.5j * eta.values**2 + 0.25 * eta.values)
@@ -219,24 +220,24 @@ def test_coercive_on_orthogonal_complement(grid):
 
 
 def test_hamiltonian_of_soliton(grid, tail_tol):
-    eta = eta_field(grid)
+    eta = soliton_profile(identity(), grid)
     assert abs(hamiltonian(eta) - np.pi / 8) < tail_tol
 
 
 def test_hamiltonian_requires_potential_when_perturbed(grid):
     with pytest.raises(ValueError):
-        hamiltonian(eta_field(grid), None, 1e-2)
+        hamiltonian(soliton_profile(identity(), grid), None, 1e-2)
 
 
 def test_hamiltonian_constant_potential_shift(grid):
-    eta = eta_field(grid)
+    eta = soliton_profile(identity(), grid)
     base = hamiltonian(eta)
     shifted = hamiltonian(eta, constant_potential(0.4), 1e-2)
     assert_allclose(shifted - base, 0.5 * 1e-2 * 0.4 * mass(eta), rtol=1e-12)
 
 
 def test_mass_and_momentum_of_soliton(grid, tail_tol):
-    eta = eta_field(grid)
+    eta = soliton_profile(identity(), grid)
     # frequency-built soliton carries exactly the discrete family mass
     assert abs(mass(eta) - family_mass_constant(1.0, grid)) < 1e-12
     assert abs(momentum(eta) - np.pi / 2) < tail_tol
@@ -249,7 +250,7 @@ def test_mass_and_momentum_of_soliton(grid, tail_tol):
 
 def test_soliton_is_critical_point(grid, tail_tol):
     # (i/2) eta' + P(|eta|^2 eta) - eta/4 vanishes up to grid truncation
-    eta = eta_field(grid)
+    eta = soliton_profile(identity(), grid)
     dspec = 1j * grid.xi * eta.spectrum
     dspec[~grid.nonneg] = 0.0
     deta = from_spectrum(grid, dspec)
