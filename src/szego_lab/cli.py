@@ -47,6 +47,8 @@ from . import plots
 _POTENTIAL_KINDS = ("gaussian", "sech2", "constant", "table")
 # largest family-spectrum tail exp(-xi_max/mu0) left at the top grid bin
 SPECTRAL_TAIL_MAX = 1e-6
+# defaults of the optional config keys dt, stride, delta and t_final.c0_fit
+DT, STRIDE, DELTA, C0_FIT = 5e-4, 100, 0.35, 32.0
 
 
 def _check(errors, path, ok, message):
@@ -110,7 +112,7 @@ def validate_config(cfg: dict, need_sweep: bool = False) -> list:
     eps = cfg.get("eps")
     _check(e, "eps", need_sweep or (_real(eps) and eps >= 0),
            "must be a number >= 0")
-    delta = cfg.get("delta", 0.35)
+    delta = cfg.get("delta", DELTA)
     _check(e, "delta", _real(delta) and 0 < delta < 0.5,
            "must lie strictly inside (0, 1/2)")
     tf = _section(e, cfg, "t_final")
@@ -121,13 +123,13 @@ def validate_config(cfg: dict, need_sweep: bool = False) -> list:
         _check(e, "t_final.value", _real(tf.get("value")) and tf["value"] > 0,
                "must be a positive number")
     if policy == "theorem_horizon":
-        c0 = tf.get("c0_fit", 32.0)
+        c0 = tf.get("c0_fit", C0_FIT)
         _check(e, "t_final.c0_fit", _real(c0) and c0 > 1, "must be > 1")
         _check(e, "eps", need_sweep or (_real(eps) and eps > 0),
                "theorem_horizon needs eps > 0")
-    dt = cfg.get("dt", 5e-4)
+    dt = cfg.get("dt", DT)
     _check(e, "dt", _real(dt) and dt > 0, "must be positive")
-    stride = cfg.get("stride", 100)
+    stride = cfg.get("stride", STRIDE)
     _check(e, "stride", type(stride) is int and stride >= 1,
            "must be an integer >= 1")
     if need_sweep:
@@ -140,9 +142,10 @@ def validate_config(cfg: dict, need_sweep: bool = False) -> list:
             _check(e, "eps_list", min(r) > 1 and max(r) / min(r) < 1 + 1e-9,
                    "values must be distinct, decreasing and geometrically spaced")
     if not e:
-        # every sweep member runs to the horizon of its own eps
+        # every sweep member runs to the horizon of its own eps; a fixed
+        # horizon is the same for all of them, so it is checked once
         eps_values = cfg["eps_list"] if need_sweep else [eps]
-        for v in eps_values:
+        for v in eps_values if policy == "theorem_horizon" else eps_values[:1]:
             m = dict(cfg, eps=v)
             _check(e, "t_final", _real(horizon(m) / dt) and run_horizon(m) >= dt,
                    f"horizon {horizon(m):.6g} at eps = {v:g} must hold one to "
@@ -181,8 +184,8 @@ def horizon(cfg: dict) -> float:
     if tf["policy"] == "fixed":
         return float(tf["value"])
     eps = float(cfg["eps"])
-    delta = float(cfg.get("delta", 0.35))
-    c0 = float(tf.get("c0_fit", 32.0))
+    delta = float(cfg.get("delta", DELTA))
+    c0 = float(tf.get("c0_fit", C0_FIT))
     return (delta / (6.0 * math.log(c0))) * eps ** (-(0.5 - delta)) \
         * math.log(1.0 / eps)
 
@@ -190,7 +193,7 @@ def horizon(cfg: dict) -> float:
 def run_horizon(cfg: dict) -> float:
     """horizon(cfg) snapped down to a whole number of dt steps, the
     horizon every command integrates to."""
-    dt = float(cfg.get("dt", 5e-4))
+    dt = float(cfg.get("dt", DT))
     return math.floor(horizon(cfg) / dt + 1e-9) * dt
 
 
@@ -232,8 +235,8 @@ def _write_json(path, obj) -> None:
 
 
 def _sample_times(cfg: dict) -> np.ndarray:
-    dt = float(cfg.get("dt", 5e-4))
-    stride = int(cfg.get("stride", 100))
+    dt = float(cfg.get("dt", DT))
+    stride = int(cfg.get("stride", STRIDE))
     n_steps = int(round(run_horizon(cfg) / dt))
     ks = list(range(0, n_steps + 1, stride))
     if ks[-1] != n_steps:
@@ -254,8 +257,8 @@ def cmd_simulate(cfg: dict, outdir: str, with_plots: bool) -> int:
         masses.append(mass(f))
         hams.append(hamiltonian(f, b, eps))
 
-    traj = evolve_pde(u0, b, eps, run_horizon(cfg), float(cfg.get("dt", 5e-4)),
-                      int(cfg.get("stride", 100)), on_sample=on_sample)
+    traj = evolve_pde(u0, b, eps, run_horizon(cfg), float(cfg.get("dt", DT)),
+                      int(cfg.get("stride", STRIDE)), on_sample=on_sample)
     _write_csv(os.path.join(outdir, "fields.csv"),
                ["t", "norm_L2", "norm_H12", "mass", "hamiltonian"],
                [traj.times, norms_l2, norms_h12, masses, hams])
@@ -313,10 +316,10 @@ def _run_tracked(cfg: dict):
     eff = _effective_run(cfg, grid, b, g0)
     tracker = Tracker(grid, g0)
     traj = evolve_pde(soliton_profile(g0, grid), b, eps, run_horizon(cfg),
-                      float(cfg.get("dt", 5e-4)), int(cfg.get("stride", 100)),
+                      float(cfg.get("dt", DT)), int(cfg.get("stride", STRIDE)),
                       on_sample=tracker.add)
     report = tracker.report(b, eps, eff)
-    metrics = theorem_metrics(report, eps, float(cfg.get("delta", 0.35)))
+    metrics = theorem_metrics(report, eps, float(cfg.get("delta", DELTA)))
     metrics["mass_drift"] = traj.mass_drift
     metrics["hamiltonian_drift"] = traj.hamiltonian_drift
     metrics["max_newton_iters"] = int(report.newton_iters.max())
@@ -418,30 +421,30 @@ def cmd_sweep(cfg: dict, outdir: str, with_plots: bool, parallel: int) -> int:
                 failure = (eps, res)
         else:
             results[eps] = res[:2]
-    for eps in sorted(results, reverse=True):
+    # eps_list decreases (validate_config), and so does results' order
+    completed = list(results)
+    for eps in completed:
         sub = os.path.join(outdir, f"eps_{eps:g}")
         os.makedirs(sub, exist_ok=True)
         _emit_tracked(*results[eps], sub, with_plots)
 
-    summary = {"eps_list": eps_list, "delta": float(cfg.get("delta", 0.35)),
-               "completed": sorted(results, reverse=True)}
-    if len(results) >= 2:
-        le = np.log([e for e in sorted(results, reverse=True)])
+    summary = {"eps_list": eps_list, "delta": float(cfg.get("delta", DELTA)),
+               "completed": completed}
+    if len(completed) >= 2:
+        le = np.log(completed)
         slopes = {}
         for key, pkey in _SWEEP_SLOPES:
-            vals = np.array([results[e][1][key]
-                             for e in sorted(results, reverse=True)])
+            vals = np.array([results[e][1][key] for e in completed])
             with np.errstate(divide="ignore"):
                 lv = np.log(vals)
             slopes[key] = float(np.polyfit(le, lv, 1)[0]) \
                 if np.all(np.isfinite(lv)) else float("nan")
-            slopes[f"predicted_{key}"] = results[max(results)][1][pkey]
+            slopes[f"predicted_{key}"] = results[completed[0]][1][pkey]
         summary["slopes"] = slopes
-        if with_plots and len(results) >= 2:
-            es = sorted(results, reverse=True)
+        if with_plots:
             plots.line_plot(
-                os.path.join(outdir, "scaling.svg"), es,
-                [[results[e][1][k] for e in es] for k, _ in _SWEEP_SLOPES],
+                os.path.join(outdir, "scaling.svg"), completed,
+                [[results[e][1][k] for e in completed] for k, _ in _SWEEP_SLOPES],
                 labels=[k for k, _ in _SWEEP_SLOPES],
                 title="sweep scaling", xlabel="eps", logx=True, logy=True)
     if failure is not None:

@@ -180,9 +180,8 @@ def _decompose(u: HardyField, g_guess: GroupElement):
     cannot converge or the remainder exceeds the tubular radius, and
     DegenerateParametrizationError when the 4x4 system degenerates."""
     grid = u.grid
-    u_pos = u.spectrum[:grid.n_points // 2]
-    g, iters, resid, shape = _newton(u_pos, g_guess, grid, u.norm_l2())
-    wl2, wh12 = _exact_w_norms(u_pos, g, shape, grid)
+    g, iters, resid, shape = _newton(u.spectrum, g_guess, grid, u.norm_l2())
+    wl2, wh12 = _exact_w_norms(u.spectrum, g, shape, grid)
     if wh12 > TUBULAR_RADIUS:
         raise TubularNeighborhoodError(
             f"remainder H^(1/2) norm {wh12:.3g} exceeds the tubular radius "

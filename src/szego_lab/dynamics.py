@@ -12,7 +12,7 @@ grid family drifts at its own exact rate (family_drift_rate) rather
 than the continuum alpha^2 mu / 2.
 
 Only the RK4 steps of the PDE take FFTs, all of length n/2.  The state
-is the n/2 nonnegative raw bins of a Hardy field, and _raw_rhs, the one
+is the n/2 non-negative raw bins of a Hardy field, and _raw_rhs, the one
 right-hand-side kernel, forms each pointwise product on the (2, n/2)
 rows of its even and odd samples and projects it, each a batched
 transform through spectral_core's half-length layout (hardy_rows,
@@ -169,7 +169,7 @@ def abc_pairing(g: GroupElement, b: PotentialSpec, eps: float,
     from the scale channel, A from the phase channel).  Each tangent is
     S times a polynomial of degree <= 1 in xi, so the pairings need only
     the moments f_p = sum F conj(S) xi^p (p = 0, 1) and
-    s_p = sum |S|^2 xi^p (p = 0, 1, 2) over the n/2 nonnegative bins.
+    s_p = sum |S|^2 xi^p (p = 0, 1, 2) over the n/2 non-negative bins.
 
     No transform is taken.  S vanishes on the negative bins, so discrete
     Parseval gives f_p = -i eps dx L sum_j b_j s_j conj(s^(p)_j), with s
@@ -211,10 +211,10 @@ def abc_pairing(g: GroupElement, b: PotentialSpec, eps: float,
 
 def _raw_rhs(V: np.ndarray, grid: SpectralGrid, eb: np.ndarray = None,
              u: np.ndarray = None, w: np.ndarray = None) -> np.ndarray:
-    """The right-hand-side kernel on the n/2 nonnegative raw FFT bins.
+    """The right-hand-side kernel on the n/2 non-negative raw FFT bins.
 
-    V holds bins [0, n/2) of fft(u), which in fftfreq order are
-    grid.nonneg; the others vanish.  Returns the same bins of
+    V holds bins [0, n/2) of fft(u), the Hardy layout of
+    spectral_core; the others vanish.  Returns the same bins of
     fft(P(|u|^2 u + eb u)), the flow's right-hand side without its
     factor -i, which the caller applies; eb is eps b in the row layout of
     spectral_core.hardy_rows, and P is spectral_core.project_rows, so the
@@ -274,14 +274,14 @@ def evolve_pde(u0: HardyField, b: PotentialSpec = None, eps: float = 0.0,
     The Hardy projection is applied inside every stage evaluation; the
     nonlinearity has no derivatives of u, so there is no step-size
     stability constraint beyond accuracy.  The state is the n/2
-    nonnegative bins in raw FFT coordinates (_raw_rhs), so every
+    non-negative bins in raw FFT coordinates (_raw_rhs), so every
     transform has length n/2 and the continuum phases are applied only
     when a sample is taken: every `stride` steps, plus t = 0 and the
     final step.  The kernel's factor -i rides on the stage weights, and
     the stages run in buffers allocated once per call.  Each step starts
     from the rows u = hardy_rows(V), which its first stage consumes.  A
-    sample (from_bins) interleaves those rows into fresh values and pads
-    the bins with zeros into a fresh spectrum, so it costs no transform.
+    sample (from_bins) interleaves those rows into fresh values and
+    rescales the bins into a fresh spectrum, so it costs no transform.
     Each sample goes to `on_sample(t, field)` as it is made, and its drifts
     are taken; the momentum is the xi-weighted sum of |V|^2 over the
     bins, whose factor dx^2 / L cancels in the relative drift.

@@ -162,21 +162,9 @@ def table_potential(xs, values) -> PotentialSpec:
                          label="table")
 
 
-def _symbol_values(b, grid: SpectralGrid) -> np.ndarray:
-    if isinstance(b, PotentialSpec):
-        return b.on_grid(grid)
-    if np.isscalar(b):
-        return np.full(grid.n_points, float(b))
-    arr = np.asarray(b)
-    if arr.shape != (grid.n_points,):
-        raise ValueError("symbol samples do not match the grid")
-    return arr
-
-
-def toeplitz_apply(b, h: HardyField) -> HardyField:
-    """T_b h = P(b h) for a real symbol b."""
-    vals = _symbol_values(b, h.grid) * h.values
-    return szego_project(vals, h.grid)
+def toeplitz_apply(b: PotentialSpec, h: HardyField) -> HardyField:
+    """T_b h = P(b h) for a real potential b."""
+    return szego_project(b.on_grid(h.grid) * h.values, h.grid)
 
 
 def hankel_apply(u: HardyField, h: HardyField) -> HardyField:
@@ -201,10 +189,10 @@ def hankel_rank(u: HardyField, tol: float = 1e-8, m: int = 256) -> OperatorDiagn
     numerical deviation from that identity.  rank_estimate counts
     singular values above tol * sigma_max.
     """
-    n_modes = int(np.count_nonzero(u.grid.nonneg))
+    n_modes = u.spectrum.size
     if 2 * m - 1 > n_modes:
         raise ValueError(f"m={m} needs {2 * m - 1} modes, grid has {n_modes}")
-    s = u.spectrum[np.where(u.grid.nonneg)[0][: 2 * m - 1]] / u.grid.box_length
+    s = u.spectrum[: 2 * m - 1] / u.grid.box_length
     idx = np.arange(m)
     M = s[idx[:, None] + idx[None, :]]
     sing = np.linalg.svd(M, compute_uv=False)
@@ -254,7 +242,7 @@ def linearized_apply(w: HardyField) -> HardyField:
     -(i/2) w' - 2 T_{|eta|^2} w - H_{eta^2} w + w/4."""
     grid = w.grid
     _, abs2, eta_sq = _eta_pieces(grid)
-    dw = from_spectrum(grid, 1j * grid.xi * w.spectrum)
+    dw = from_spectrum(grid, 1j * grid.xi_pos * w.spectrum)
     vals = (-0.5j * dw - 2.0 * abs2 * w.values - eta_sq * np.conj(w.values)
             + 0.25 * w.values)
     return szego_project(vals, grid)

@@ -8,7 +8,7 @@ symplectic pairings of that frame live here.
 On the periodic grid the family member for g is defined by its
 geometric spectrum
     S_hat(xi) = exp(i phi) alpha (-2 pi i) exp(-xi/mu - i a xi),
-sampled on the nonnegative bins.  This makes the family exactly
+sampled on the non-negative bins.  This makes the family exactly
 invariant under the discrete flow machinery: the free translation rate
 and the family mass pick up explicit 1/L corrections (see
 family_drift_rate, family_mass_constant) that converge to the
@@ -119,7 +119,7 @@ def inverse(g: GroupElement) -> GroupElement:
 
 
 def family_shape(a: float, mu: float, grid: SpectralGrid) -> np.ndarray:
-    """The family shape exp(-xi/mu - i a xi) on the n/2 nonnegative bins.
+    """The family shape exp(-xi/mu - i a xi) on the n/2 non-negative bins.
 
     xi_k = k dxi, so the shape is the geometric sequence r^k with
     r = exp(w dxi), w = -1/mu - i a (the rank-one Hankel orbit of
@@ -136,10 +136,8 @@ def family_shape(a: float, mu: float, grid: SpectralGrid) -> np.ndarray:
 
 def family_spectrum(g: GroupElement, grid: SpectralGrid) -> np.ndarray:
     """Geometric spectrum of the discrete family member for g."""
-    spec = np.zeros(grid.n_points, dtype=complex)
-    spec[:grid.n_points // 2] = (np.exp(1j * g.phi) * g.alpha * (-2j * np.pi)
-                                 * family_shape(g.a, g.mu, grid))
-    return spec
+    return (np.exp(1j * g.phi) * g.alpha * (-2j * np.pi)
+            * family_shape(g.a, g.mu, grid))
 
 
 def soliton_profile(g: GroupElement, grid: SpectralGrid) -> HardyField:
@@ -158,13 +156,13 @@ def _resample_spectrum(grid: SpectralGrid, spec: np.ndarray, mu: float):
     from scipy.interpolate import CubicSpline  # only non-family fields need it
 
     xi = grid.xi_pos
-    interp = CubicSpline(xi, spec[grid.nonneg], extrapolate=False)
+    interp = CubicSpline(xi, spec, extrapolate=False)
     target = xi / mu
     out = interp(target)
     out[np.isnan(out)] = 0.0
     if mu < 1.0:
         # source frequencies above mu*xi_max fall outside the band
-        lost = np.sum(np.abs(spec[grid.nonneg][xi > mu * xi[-1]]) ** 2)
+        lost = np.sum(np.abs(spec[xi > mu * xi[-1]]) ** 2)
         total = np.sum(np.abs(spec) ** 2)
         if total > 0 and lost > 1e-16 * total:
             warnings.warn("rescaled field exceeds the band limit; "
@@ -183,10 +181,8 @@ def act(g: GroupElement, u: HardyField) -> HardyField:
     if u.orbit is not None:
         return soliton_profile(compose(g, u.orbit), u.grid)
     grid = u.grid
-    out = np.zeros(grid.n_points, dtype=complex)
-    out[grid.nonneg] = (np.exp(1j * g.phi) * g.alpha
-                        * np.exp(-1j * grid.xi_pos * g.a)
-                        * _resample_spectrum(grid, u.spectrum, g.mu))
+    out = (np.exp(1j * g.phi) * g.alpha * np.exp(-1j * grid.xi_pos * g.a)
+           * _resample_spectrum(grid, u.spectrum, g.mu))
     return HardyField(grid, from_spectrum(grid, out), _spectrum=out)
 
 
@@ -203,18 +199,13 @@ def generator_spectra(grid: SpectralGrid, g: GroupElement = None) -> list:
     base = np.exp(1j * g.phi) * g.alpha * family_shape(g.a, g.mu, grid)
     shapes = (-2 * np.pi * z, -2j * np.pi * np.ones_like(z),
               2 * np.pi * np.ones_like(z), -2j * np.pi * z)
-    out = []
-    for s in shapes:
-        spec = np.zeros(grid.n_points, dtype=complex)
-        spec[:grid.n_points // 2] = base * s
-        out.append(spec)
-    return out
+    return [base * s for s in shapes]
 
 
 def tangent_frame_spectra(g: GroupElement, grid: SpectralGrid) -> list:
     """Spectra of the coordinate tangent fields d(g.eta)/d(a,alpha,phi,mu)."""
     S = family_spectrum(g, grid)
-    xi = grid.xi
+    xi = grid.xi_pos
     return [-1j * xi * S, S / g.alpha, 1j * S, (xi / g.mu**2) * S]
 
 

@@ -7,7 +7,7 @@ norms, pairings and quadrature defined here are the primitives every
 other module consumes.
 
 The projector works on the half-length layout that the RK4 kernel in
-dynamics shares: a Hardy field as its n/2 nonnegative raw FFT bins and
+dynamics shares: a Hardy field as its n/2 non-negative raw FFT bins and
 as the (2, n/2) rows of its even and odd samples, each one batched
 transform of the other by decimation in time (Cooley & Tukey, 1965).
 
@@ -106,11 +106,13 @@ _keep_freed_scratch()
 class SpectralGrid:
     """Periodic grid for [-L/2, L/2) with FFT frequency bookkeeping.
 
-    Derived arrays (nodes, frequencies, the nonnegative-frequency mask,
-    the first n/2 bins it selects with their powers [1, xi, xi^2] and
-    their half-length FFT twiddles, and the phase factors that align
-    numpy's FFT with the continuum transform) are computed once and
-    shared by every field on the grid.
+    A Hardy spectrum on this grid is its n/2 non-negative bins; the
+    Nyquist bin and every negative frequency are zero by layout, which
+    removes an untracked real degree of freedom.  Derived arrays (nodes,
+    the non-negative frequencies xi_pos with their powers [1, xi, xi^2],
+    the half-length FFT twiddles, and the phase factors that align the
+    raw FFT with the continuum transform on those bins) are computed once
+    and shared by every field on the grid.
     """
 
     n_points: int
@@ -124,22 +126,14 @@ class SpectralGrid:
             raise ValueError("box_length must be positive")
         dx = L / n
         x = -L / 2 + dx * np.arange(n)
-        # bitwise 2 pi numpy.fft.fftfreq(n, dx), without importing numpy.fft
-        k = np.arange(n)
-        k[n // 2:] -= n
-        xi = 2 * np.pi * (k * (1.0 / (n * dx)))
-        # Nyquist lands on the negative side of fftfreq and is zeroed by
-        # the projector, removing an untracked real degree of freedom.
-        nonneg = xi >= 0
+        # bitwise the first half of 2 pi numpy.fft.fftfreq(n, dx)
+        xi = 2 * np.pi * (np.arange(n // 2) * (1.0 / (n * dx)))
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "nonneg", nonneg)
-        object.__setattr__(self, "xi_pos", xi[nonneg])
+        object.__setattr__(self, "xi_pos", xi)
         # spectral moments are products with this table; built here, not
         # on first use, so a grid is never written after it is made
-        object.__setattr__(self, "xi_powers", np.vstack(
-            [np.ones(n // 2), xi[:n // 2], xi[:n // 2] ** 2]))
+        object.__setattr__(self, "xi_powers", np.vstack([np.ones(n // 2), xi, xi**2]))
         # e^{+-i pi k/(n/2)}, k < n/2: the odd-sample twiddles that split a
         # length-n transform of a Hardy field into two of length n/2
         t = np.exp(1j * np.pi * np.arange(n // 2) / (n // 2))
@@ -149,19 +143,27 @@ class SpectralGrid:
 
 
 def spectrum(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
-    """Continuum-normalized Fourier coefficients of grid samples."""
-    return fft(values) * grid._fwd_phase
+    """Continuum-normalized Fourier coefficients of grid samples on the
+    n/2 non-negative bins; any negative-frequency content is dropped."""
+    return fft(values)[:grid.n_points // 2] * grid._fwd_phase
 
 
 def from_spectrum(grid: SpectralGrid, spec: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`spectrum`."""
-    return ifft(spec * grid._inv_phase)
+    """Grid samples of the Hardy field with the n/2 bins spec, the
+    inverse of :func:`spectrum` on Hardy fields; the one place that
+    zero-pads a spectrum to the length-n transform."""
+    z = np.zeros(grid.n_points, dtype=complex)
+    np.multiply(spec, grid._inv_phase, out=z[:grid.n_points // 2])
+    return ifft(z, out=z)
 
 
 @dataclass(frozen=True, eq=False)
 class HardyField:
-    """Complex field with spectrum supported on nonnegative frequencies.
+    """Complex field with spectrum supported on non-negative frequencies.
 
+    ``spectrum`` holds the n/2 non-negative bins (see SpectralGrid), so
+    every field's spectrum is Hardy by construction; it is computed from
+    the values on first use unless the constructor supplies it.
     ``orbit`` tags fields known to lie on the soliton family (the group
     element that generated them); the group action uses it to re-derive
     closed forms instead of resampling.
@@ -199,7 +201,7 @@ def _check_same_grid(u: HardyField, v: HardyField):
 
 
 def hardy_rows(V: np.ndarray, grid: SpectralGrid, out: np.ndarray = None) -> np.ndarray:
-    """u = ifft(V) from the n/2 nonnegative raw bins V (the rest vanish),
+    """u = ifft(V) from the n/2 non-negative raw bins V (the rest vanish),
     as the (2, n/2) rows of its even and odd samples.
 
     u[2m] = ifft_{n/2}(V)_m / 2 and u[2m+1] = ifft_{n/2}(V e^{i pi k/(n/2)})_m / 2,
@@ -227,20 +229,17 @@ def project_rows(g: np.ndarray, grid: SpectralGrid) -> np.ndarray:
 
 
 def raw_bins(h: HardyField) -> np.ndarray:
-    """The n/2 nonnegative raw FFT bins of a Hardy field, a fresh array."""
-    N = h.grid.n_points // 2
-    return h.spectrum[:N] * h.grid._inv_phase[:N]
+    """The n/2 non-negative raw FFT bins of a Hardy field, a fresh array."""
+    return h.spectrum * h.grid._inv_phase
 
 
 def from_bins(V: np.ndarray, grid: SpectralGrid, rows: np.ndarray = None) -> HardyField:
-    """The field with raw bins V, in fresh length-n arrays: its rows
+    """The field with raw bins V, in fresh arrays: its rows
     (hardy_rows(V, grid), unless the caller already holds them)
-    interleaved, and its spectrum zero above n/2."""
+    interleaved, and its spectrum V in continuum normalization."""
     if rows is None:
         rows = hardy_rows(V, grid)
-    spec = np.zeros(grid.n_points, dtype=complex)
-    np.multiply(V, grid._fwd_phase[:V.size], out=spec[:V.size])
-    return HardyField(grid, rows.T.flatten(), _spectrum=spec)
+    return HardyField(grid, rows.T.flatten(), _spectrum=V * grid._fwd_phase)
 
 
 def szego_project(f, grid: SpectralGrid = None) -> HardyField:
@@ -260,9 +259,9 @@ def sobolev_norm(h: HardyField, s: float = 0.5, homogeneous: bool = False) -> fl
     if s not in (0.0, 0.5):
         raise ValueError(f"unsupported Sobolev exponent s={s}")
     spec = h.spectrum
-    xi = h.grid.xi
+    xi = h.grid.xi_pos
     if homogeneous:
-        weight = np.abs(xi) ** (2 * s)
+        weight = xi ** (2 * s)
     else:
         weight = (1.0 + xi**2) ** s
     return float(np.sqrt(np.sum(weight * np.abs(spec) ** 2) / h.grid.box_length))
@@ -295,10 +294,8 @@ def random_hardy_field(grid: SpectralGrid, rng: np.random.Generator,
                        decay: float = 0.25, norm: float = 1.0) -> HardyField:
     """Random smooth Hardy field with exponentially decaying spectrum."""
     k = grid.xi_pos
-    coeff = (rng.normal(size=k.size) + 1j * rng.normal(size=k.size))
-    coeff *= np.exp(-decay * k)
-    spec = np.zeros(grid.n_points, dtype=complex)
-    spec[grid.nonneg] = coeff
+    spec = (rng.normal(size=k.size) + 1j * rng.normal(size=k.size))
+    spec *= np.exp(-decay * k)
     vals = from_spectrum(grid, spec)
     h = HardyField(grid, vals, _spectrum=spec)
     scale = norm / max(h.norm_l2(), 1e-300)

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import multiprocessing
@@ -175,6 +176,16 @@ def test_sweep_config_needs_no_eps(policy):
     far = dict(cfg, soliton=dict(cfg["soliton"], a0=125.0))
     errors = validate_config(far, need_sweep=True)
     assert errors[0].startswith("soliton.a0: the free soliton starts at a = 125")
+
+
+def test_fixed_sweep_horizon_error_is_reported_once():
+    # a fixed horizon is the same for every member, so a step too coarse
+    # for it is one error, not one per eps_list entry
+    root = Path(__file__).resolve().parents[1]
+    cfg = json.loads((root / "configs" / "sweep.json").read_text())
+    assert len(cfg["eps_list"]) == 3
+    errors = validate_config(dict(cfg, dt=6.0), need_sweep=True)
+    assert len(errors) == 1 and errors[0].startswith("t_final: horizon 5 at eps = ")
 
 
 @pytest.mark.parametrize("eps_list", [[1e-2, 1e-2, 1e-2], [1e-2, 2e-2, 4e-2]],
@@ -609,3 +620,25 @@ def test_benchmark_tracer_installs():
         [sys.executable, "-c", "import tracing; tracing.install(tracing.Tracer())"],
         capture_output=True, text=True, env=env, cwd=root)
     assert done.returncode == 0, done.stderr
+
+
+def test_benchmark_tracer_records_a_tiny_track_run(tmp_path):
+    # install alone would miss a wrapped name that breaks at call time:
+    # run the traced CLI and read its spans the way the benchmark does
+    root = Path(__file__).resolve().parents[1]
+    spans_path, out = tmp_path / "spans.json", tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "traced_cli.py"), str(spans_path),
+         "track", "--config", write_config(tmp_path, tiny_config()),
+         "--out", str(out)],
+        capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", root / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    metrics = tracing.layer_metrics(json.loads(spans_path.read_text()))
+    assert metrics["spectral_core.transform_calls"] > 0
+    assert metrics["dynamics.steps"] == 200
+    assert (out / "metrics.json").is_file()

@@ -72,14 +72,14 @@ def _per_bin_residual_and_jacobian(u_pos, g, grid):
 
 
 def _near_family(grid, rng, g):
-    """A member near g plus a small generic bump, as a nonnegative-bin spectrum."""
+    """A member near g plus a small generic bump, as its n/2-bin spectrum."""
     shifted = GroupElement(g.a + rng.uniform(-0.1, 0.1),
                            g.alpha * rng.uniform(0.95, 1.05),
                            g.phi + rng.uniform(-0.1, 0.1),
                            g.mu * rng.uniform(0.95, 1.05))
     w = random_rational_field(grid, rng, norm=0.05)
     u = HardyField(grid, soliton_profile(shifted, grid).values + w.values)
-    return u.spectrum[grid.nonneg]
+    return u.spectrum
 
 
 _SYSTEM_POINTS = [GroupElement(-3.0, 1.0, 0.0, 3.0),

@@ -11,34 +11,46 @@ from szego_lab import spectral_core
 from szego_lab.spectral_core import (
     HardyField,
     SpectralGrid,
+    from_bins,
     from_spectrum,
     inner_real,
     pair_spectra,
     quadrature,
     random_hardy_field,
     random_rational_field,
+    raw_bins,
     sobolev_norm,
     spectrum,
     symplectic_pair,
     szego_project,
 )
-from szego_lab.soliton_manifold import identity, soliton_profile
+from szego_lab.soliton_manifold import (GroupElement, act, identity,
+                                        soliton_profile)
+
+
+def _negative_content(values):
+    """Largest bin of numpy.fft.fft(values) at the Nyquist frequency or
+    below zero, relative to the largest bin of all."""
+    F = np.abs(np.fft.fft(values))
+    return np.max(F[values.size // 2:]) / np.max(F)
 
 
 def test_grid_geometry(grid):
     assert grid.dx == grid.box_length / grid.n_points
-    assert_allclose(np.diff(grid.xi)[0], 2 * np.pi / grid.box_length)
-    # exactly half the bins carry nonnegative frequencies
-    assert int(np.sum(grid.nonneg)) == grid.n_points // 2
-    assert np.all(grid.xi[grid.nonneg] >= 0)
-    # ... and they are the first n/2, the bins the [:n/2] slices select
-    assert np.array_equal(grid.nonneg, np.arange(grid.n_points) < grid.n_points // 2)
+    assert_allclose(np.diff(grid.xi_pos)[0], 2 * np.pi / grid.box_length)
     assert np.array_equal(grid.xi_powers,
                           [np.ones_like(grid.xi_pos), grid.xi_pos, grid.xi_pos**2])
     assert grid.x[0] == -grid.box_length / 2
-    # the frequencies are numpy.fft.fftfreq's, bitwise
+    # the Hardy bins are the first n/2 of numpy.fft.fftfreq's, bitwise,
+    # the rest are the Nyquist and negative frequencies, and the phase
+    # tables hold one entry per Hardy bin
     for g in (grid, SpectralGrid(16, 3.0), SpectralGrid(8192, 256.0)):
-        assert np.array_equal(g.xi, 2 * np.pi * np.fft.fftfreq(g.n_points, d=g.dx))
+        N = g.n_points // 2
+        xi = 2 * np.pi * np.fft.fftfreq(g.n_points, d=g.dx)
+        assert np.array_equal(g.xi_pos, xi[:N])
+        assert np.all(xi[N:] < 0)
+        for table in (g._fwd_phase, g._inv_phase, g.twiddle[0], g.twiddle[1]):
+            assert table.shape == (N,)
 
 
 @pytest.mark.parametrize("n", [100, 8, 0, -16])
@@ -80,9 +92,36 @@ def test_fft_loader_names_the_path_it_searched(monkeypatch, tmp_path):
 
 
 def test_spectrum_roundtrip(grid, rng):
+    # spectrum keeps the n/2 Hardy bins of any samples, and from_spectrum
+    # gives back the samples with the other bins of their transform zeroed
     vals = rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points)
-    back = from_spectrum(grid, spectrum(grid, vals))
-    assert_allclose(back, vals, atol=1e-12)
+    F = np.fft.fft(vals)
+    F[grid.n_points // 2:] = 0.0
+    hardy = np.fft.ifft(F)
+    assert_allclose(from_spectrum(grid, spectrum(grid, vals)), hardy, atol=1e-12)
+    assert_allclose(from_spectrum(grid, spectrum(grid, hardy)), hardy, atol=1e-12)
+
+
+def test_every_constructor_holds_the_n_half_hardy_bins(grid, rng):
+    N = grid.n_points // 2
+    vals = rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points)
+    member = soliton_profile(GroupElement(-3.0, 1.0, 0.4, 3.0), grid)
+    fields = {
+        "soliton_profile": member,
+        "from_bins": from_bins(raw_bins(member), grid),
+        "szego_project": szego_project(vals, grid),
+        "random_hardy_field": random_hardy_field(grid, rng),
+        "random_rational_field": random_rational_field(grid, rng),
+        "act": act(GroupElement(0.8, 1.1, -0.4, 1.25),
+                   random_rational_field(grid, rng)),
+    }
+    for name, f in fields.items():
+        assert f.spectrum.shape == (N,), name
+        assert _negative_content(f.values) < 1e-13, name
+    # a field given only its samples computes its spectrum on first use
+    lazy = HardyField(grid, vals)
+    assert lazy._spectrum is None
+    assert lazy.spectrum.shape == (N,)
 
 
 @given(seed=st.integers(0, 2**31 - 1))
@@ -101,7 +140,7 @@ def test_projection_idempotent(grid, seed):
     once = szego_project(HardyField(grid, vals))
     twice = szego_project(once)
     assert_allclose(twice.values, once.values, atol=1e-12)
-    assert np.all(once.spectrum[~grid.nonneg] == 0)
+    assert _negative_content(once.values) < 1e-13
 
 
 def test_projection_is_orthogonal(grid, rng):
@@ -148,12 +187,12 @@ def test_eta_spectrum_closed_form(grid):
     # the ground state is the family member at the identity; its shape is
     # a two-table product that rounds the exponent xi, so the tolerance
     # grows with xi (as in test_family_shape_is_the_direct_exponential)
-    spec = soliton_profile(identity(), grid).spectrum
-    nn = grid.nonneg
-    want = -2j * np.pi * np.exp(-grid.xi[nn])
-    tol = 4 * np.finfo(float).eps * (1.0 + grid.xi[nn])
-    assert np.all(np.abs(spec[nn] - want) <= tol * np.abs(want))
-    assert np.all(spec[~nn] == 0)
+    eta = soliton_profile(identity(), grid)
+    want = -2j * np.pi * np.exp(-grid.xi_pos)
+    tol = 4 * np.finfo(float).eps * (1.0 + grid.xi_pos)
+    assert eta.spectrum.shape == want.shape
+    assert np.all(np.abs(eta.spectrum - want) <= tol * np.abs(want))
+    assert _negative_content(eta.values) < 1e-13
 
 
 def test_eta_field_resembles_cauchy_kernel(grid):
@@ -162,7 +201,7 @@ def test_eta_field_resembles_cauchy_kernel(grid):
     # interior agreement; the box tail carries the truncation error
     mid = np.abs(grid.x) < 32
     assert np.max(np.abs(eta.values[mid] - target[mid])) < 2e-2
-    assert np.all(eta.spectrum[~grid.nonneg] == 0)
+    assert _negative_content(eta.values) < 1e-13
 
 
 def test_sobolev_norm_cases(grid, tail_tol):
@@ -186,14 +225,14 @@ def test_random_hardy_field_properties(grid):
     u1 = random_hardy_field(grid, np.random.default_rng(7))
     u2 = random_hardy_field(grid, np.random.default_rng(7))
     assert_allclose(u1.values, u2.values)
-    assert np.all(u1.spectrum[~grid.nonneg] == 0)
+    assert _negative_content(u1.values) < 1e-13
     assert np.isfinite(u1.norm_l2())
 
 
 def test_random_rational_field_properties(grid):
     u = random_rational_field(grid, np.random.default_rng(11))
     assert abs(u.norm_l2() - 1.0) < 1e-10
-    assert np.all(u.spectrum[~grid.nonneg] == 0)
+    assert _negative_content(u.values) < 1e-13
 
 
 def test_quadrature_constant(grid):
