@@ -16,6 +16,7 @@ import math
 import os
 import signal
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,7 +113,7 @@ def validate_config(cfg: dict, need_sweep: bool = False) -> list:
     eps = cfg.get("eps")
     _check(e, "eps", need_sweep or (_real(eps) and eps >= 0),
            "must be a number >= 0")
-    delta = cfg.get("delta", DELTA)
+    dt, stride, delta, c0 = _settings(cfg)
     _check(e, "delta", _real(delta) and 0 < delta < 0.5,
            "must lie strictly inside (0, 1/2)")
     tf = _section(e, cfg, "t_final")
@@ -123,13 +124,10 @@ def validate_config(cfg: dict, need_sweep: bool = False) -> list:
         _check(e, "t_final.value", _real(tf.get("value")) and tf["value"] > 0,
                "must be a positive number")
     if policy == "theorem_horizon":
-        c0 = tf.get("c0_fit", C0_FIT)
         _check(e, "t_final.c0_fit", _real(c0) and c0 > 1, "must be > 1")
         _check(e, "eps", need_sweep or (_real(eps) and eps > 0),
                "theorem_horizon needs eps > 0")
-    dt = cfg.get("dt", DT)
     _check(e, "dt", _real(dt) and dt > 0, "must be positive")
-    stride = cfg.get("stride", STRIDE)
     _check(e, "stride", type(stride) is int and stride >= 1,
            "must be an integer >= 1")
     if need_sweep:
@@ -145,11 +143,12 @@ def validate_config(cfg: dict, need_sweep: bool = False) -> list:
         # every sweep member runs to the horizon of its own eps; a fixed
         # horizon is the same for all of them, so it is checked once
         eps_values = cfg["eps_list"] if need_sweep else [eps]
+        longest = 0.0
         for v in eps_values if policy == "theorem_horizon" else eps_values[:1]:
-            m = dict(cfg, eps=v)
-            _check(e, "t_final", _real(horizon(m) / dt) and run_horizon(m) >= dt,
-                   f"horizon {horizon(m):.6g} at eps = {v:g} must hold one to "
-                   "finitely many dt steps")
+            T, steps = horizon(tf, v, delta, c0, dt)
+            _check(e, "t_final", steps >= 1, f"horizon {T:.6g} at eps = {v:g} "
+                   "must hold one to finitely many dt steps")
+            longest = max(longest, steps * dt)
         # the soliton spectrum decays as exp(-xi/mu0); a tail the grid
         # cuts off is a member it cannot represent
         tail = math.exp(-2 * math.pi * (n // 2 - 1) / (g["L"] * s["mu0"]))
@@ -158,43 +157,61 @@ def validate_config(cfg: dict, need_sweep: bool = False) -> list:
                f"bin exceeds {SPECTRAL_TAIL_MAX:g}; the grid does not resolve "
                "this scale (raise grid.n, or lower grid.L or mu0)")
     if not e:
-        _check_wrap(e, cfg, eps_values)
+        # the free soliton must stay 10/mu0 clear of the box edge +-L/2 from
+        # a0 to a0 + c T (c the discrete-family drift rate, T the longest
+        # run horizon), or it wraps round the periodic box
+        half, margin = 0.5 * g["L"], 10.0 / s["mu0"]
+        end = s["a0"] + family_drift_rate(s["alpha0"], s["mu0"],
+                                          build_grid(cfg)) * longest
+        for a, where in ((s["a0"], f"starts at a = {s['a0']:.6g}"),
+                         (end, f"reaches a = {end:.6g} at t = {longest:.6g}")):
+            _check(e, "soliton.a0", abs(a) <= half - margin,
+                   f"the free soliton {where}, not 10/mu0 = {margin:.3g} "
+                   f"clear of the box edge +-{half:g}; it would wrap round "
+                   "the periodic box (raise grid.L or shorten t_final)")
     return e
 
 
-def _check_wrap(errors, cfg: dict, eps_list: list) -> None:
-    """The free soliton must stay 10/mu0 clear of the box edge +-L/2 from
-    a0 to a0 + c T (c the discrete-family drift rate, T the longest run
-    horizon over eps_list), or it wraps round the periodic box."""
-    s, half = cfg["soliton"], 0.5 * cfg["grid"]["L"]
-    c = family_drift_rate(s["alpha0"], s["mu0"], build_grid(cfg))
-    T = max(run_horizon(dict(cfg, eps=v)) for v in eps_list)
-    margin = 10.0 / s["mu0"]
-    end = s["a0"] + c * T
-    for a, where in ((s["a0"], f"starts at a = {s['a0']:.6g}"),
-                     (end, f"reaches a = {end:.6g} at t = {T:.6g}")):
-        _check(errors, "soliton.a0", abs(a) <= half - margin,
-               f"the free soliton {where}, not 10/mu0 = {margin:.3g} clear "
-               f"of the box edge +-{half:g}; it would wrap round the periodic "
-               "box (raise grid.L or shorten t_final)")
+def _settings(cfg: dict) -> tuple:
+    """dt, stride, delta and t_final.c0_fit as cfg gives them, each its
+    default when left out: the one place the defaults are read."""
+    tf = cfg.get("t_final")
+    return (cfg.get("dt", DT), cfg.get("stride", STRIDE), cfg.get("delta", DELTA),
+            (tf if isinstance(tf, dict) else {}).get("c0_fit", C0_FIT))
 
 
-def horizon(cfg: dict) -> float:
-    tf = cfg["t_final"]
+def horizon(tf: dict, eps: float, delta: float, c0: float, dt: float) -> tuple:
+    """The t_final policy's horizon at eps, and the whole dt steps in it."""
     if tf["policy"] == "fixed":
-        return float(tf["value"])
-    eps = float(cfg["eps"])
-    delta = float(cfg.get("delta", DELTA))
-    c0 = float(tf.get("c0_fit", C0_FIT))
-    return (delta / (6.0 * math.log(c0))) * eps ** (-(0.5 - delta)) \
-        * math.log(1.0 / eps)
+        T = float(tf["value"])
+    else:
+        T = (delta / (6.0 * math.log(c0))) * eps ** (-(0.5 - delta)) \
+            * math.log(1.0 / eps)
+    return T, (math.floor(T / dt + 1e-9) if _real(T / dt) else 0)
 
 
-def run_horizon(cfg: dict) -> float:
-    """horizon(cfg) snapped down to a whole number of dt steps, the
-    horizon every command integrates to."""
-    dt = float(cfg.get("dt", DT))
-    return math.floor(horizon(cfg) / dt + 1e-9) * dt
+@dataclass(frozen=True)
+class RunSpec:
+    """One run of a validated config, every default filled in: the sample
+    times are every stride-th dt step and the last one inside horizon()."""
+    grid: SpectralGrid
+    potential: object
+    g0: GroupElement
+    eps: float
+    delta: float
+    dt: float
+    stride: int
+    times: np.ndarray
+
+
+def run_spec(cfg: dict) -> RunSpec:
+    """The RunSpec of a config that validate_config accepts."""
+    dt, stride, delta, c0 = map(float, _settings(cfg))
+    eps, stride = float(cfg["eps"]), int(stride)
+    steps = horizon(cfg["t_final"], eps, delta, c0, dt)[1]
+    return RunSpec(build_grid(cfg), build_potential(cfg), build_g0(cfg), eps,
+                   delta, dt, stride,
+                   np.append(np.arange(0, steps, stride), steps) * dt)
 
 
 def build_grid(cfg: dict) -> SpectralGrid:
@@ -234,36 +251,24 @@ def _write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def _sample_times(cfg: dict) -> np.ndarray:
-    dt = float(cfg.get("dt", DT))
-    stride = int(cfg.get("stride", STRIDE))
-    n_steps = int(round(run_horizon(cfg) / dt))
-    ks = list(range(0, n_steps + 1, stride))
-    if ks[-1] != n_steps:
-        ks.append(n_steps)
-    return np.array([k * dt for k in ks])
-
-
 def cmd_simulate(cfg: dict, outdir: str, with_plots: bool) -> int:
-    grid = build_grid(cfg)
-    b = build_potential(cfg)
-    eps = float(cfg["eps"])
-    u0 = soliton_profile(build_g0(cfg), grid)
+    spec = run_spec(cfg)
     norms_l2, norms_h12, masses, hams = [], [], [], []
 
     def on_sample(t, f):
         norms_l2.append(f.norm_l2())
         norms_h12.append(sobolev_norm(f, 0.5))
         masses.append(mass(f))
-        hams.append(hamiltonian(f, b, eps))
+        hams.append(hamiltonian(f, spec.potential, spec.eps))
 
-    traj = evolve_pde(u0, b, eps, run_horizon(cfg), float(cfg.get("dt", DT)),
-                      int(cfg.get("stride", STRIDE)), on_sample=on_sample)
+    traj = evolve_pde(soliton_profile(spec.g0, spec.grid), spec.potential,
+                      spec.eps, float(spec.times[-1]), spec.dt, spec.stride,
+                      on_sample=on_sample)
     _write_csv(os.path.join(outdir, "fields.csv"),
                ["t", "norm_L2", "norm_H12", "mass", "hamiltonian"],
                [traj.times, norms_l2, norms_h12, masses, hams])
     _write_json(os.path.join(outdir, "conservation.json"), {
-        "eps": eps, "dt": traj.dt, "t_final": float(traj.times[-1]),
+        "eps": spec.eps, "dt": traj.dt, "t_final": float(traj.times[-1]),
         "samples": int(traj.times.size),
         "mass_drift": traj.mass_drift,
         "hamiltonian_drift": traj.hamiltonian_drift,
@@ -279,18 +284,16 @@ def cmd_simulate(cfg: dict, outdir: str, with_plots: bool) -> int:
     return 0
 
 
-def _effective_run(cfg: dict, grid: SpectralGrid, b, g0: GroupElement) -> list:
+def _effective_run(spec: RunSpec) -> list:
     """The reduced flow on the grid route at the sample times: what
     effective writes and what track compares against."""
-    times = _sample_times(cfg)
-    return evolve_effective(EffectiveState(0.0, g0), b, float(cfg["eps"]),
-                            float(times[-1]), t_eval=times, grid=grid,
-                            rtol=1e-11, atol=1e-13)
+    return evolve_effective(EffectiveState(0.0, spec.g0), spec.potential,
+                            spec.eps, float(spec.times[-1]), t_eval=spec.times,
+                            grid=spec.grid, rtol=1e-11, atol=1e-13)
 
 
 def cmd_effective(cfg: dict, outdir: str, with_plots: bool) -> int:
-    states = _effective_run(cfg, build_grid(cfg), build_potential(cfg),
-                            build_g0(cfg))
+    states = _effective_run(run_spec(cfg))
     times = [s.t for s in states]
     params = list(np.array([s.g.as_array() for s in states]).T)
     _write_csv(os.path.join(outdir, "effective.csv"),
@@ -309,17 +312,14 @@ def _run_tracked(cfg: dict):
     each sample into the decomposition, so no sample is kept.  Returns
     the report, the metrics.json values and the PDE trajectory, whose
     drifts include the momentum's."""
-    grid = build_grid(cfg)
-    b = build_potential(cfg)
-    eps = float(cfg["eps"])
-    g0 = build_g0(cfg)
-    eff = _effective_run(cfg, grid, b, g0)
-    tracker = Tracker(grid, g0)
-    traj = evolve_pde(soliton_profile(g0, grid), b, eps, run_horizon(cfg),
-                      float(cfg.get("dt", DT)), int(cfg.get("stride", STRIDE)),
+    spec = run_spec(cfg)
+    eff = _effective_run(spec)
+    tracker = Tracker(spec.grid, spec.g0)
+    traj = evolve_pde(soliton_profile(spec.g0, spec.grid), spec.potential,
+                      spec.eps, float(spec.times[-1]), spec.dt, spec.stride,
                       on_sample=tracker.add)
-    report = tracker.report(b, eps, eff)
-    metrics = theorem_metrics(report, eps, float(cfg.get("delta", DELTA)))
+    report = tracker.report(spec.potential, spec.eps, eff)
+    metrics = theorem_metrics(report, spec.eps, spec.delta)
     metrics["mass_drift"] = traj.mass_drift
     metrics["hamiltonian_drift"] = traj.hamiltonian_drift
     metrics["max_newton_iters"] = int(report.newton_iters.max())
@@ -428,7 +428,7 @@ def cmd_sweep(cfg: dict, outdir: str, with_plots: bool, parallel: int) -> int:
         os.makedirs(sub, exist_ok=True)
         _emit_tracked(*results[eps], sub, with_plots)
 
-    summary = {"eps_list": eps_list, "delta": float(cfg.get("delta", DELTA)),
+    summary = {"eps_list": eps_list, "delta": float(_settings(cfg)[2]),
                "completed": completed}
     if len(completed) >= 2:
         le = np.log(completed)
@@ -511,7 +511,12 @@ def main(argv=None) -> int:
             return 2
 
     outdir = args.out or cfg.get("outdir", ".")
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except (OSError, TypeError) as exc:   # not a path, or not a directory
+        print(f"config error: output directory {outdir!r}: {exc}",
+              file=sys.stderr)
+        return 2
 
     try:
         if args.command == "simulate":

@@ -45,8 +45,6 @@ __all__ = [
     "random_rational_field",
 ]
 
-HARDY_TOL = 1e-12
-
 
 def _load_pocketfft():
     """The compiled pocketfft module that scipy.fft wraps, loaded from

@@ -18,13 +18,12 @@ import pytest
 from szego_lab import cli, plots
 from szego_lab.cli import (
     _run_tracked,
-    _sample_times,
     build_g0,
     build_grid,
     build_potential,
     horizon,
     main,
-    run_horizon,
+    run_spec,
     validate_config,
 )
 from szego_lab.decomposition import TrackReport, theorem_metrics, track
@@ -96,7 +95,7 @@ def test_zero_step_horizon_is_config_error(tmp_path):
     # a theorem horizon of 0.0018 holds no step of dt = 5e-3
     cfg = tiny_config(eps=0.9, dt=5e-3,
                       t_final={"policy": "theorem_horizon", "c0_fit": 32.0})
-    assert run_horizon(cfg) == 0.0
+    assert run_spec(cfg).times[-1] == 0.0
     assert any(e.startswith("t_final") for e in validate_config(cfg))
     path = write_config(tmp_path, cfg)
     for command in ("track", "simulate"):
@@ -114,7 +113,7 @@ def test_sweep_checks_every_members_step_count(tmp_path, capsys, monkeypatch):
     # member runs, not fail that member after the others ran
     cfg = tiny_config(eps=0.1, dt=5e-3, eps_list=[0.9, 0.3, 0.1],
                       t_final={"policy": "theorem_horizon", "c0_fit": 32.0})
-    assert [run_horizon(dict(cfg, eps=v)) / 5e-3 for v in (0.9, 0.3, 0.1)] \
+    assert [run_spec(dict(cfg, eps=v)).times[-1] / 5e-3 for v in (0.9, 0.3, 0.1)] \
         == pytest.approx([0, 4, 10])
     assert validate_config(cfg) == []
     errors = validate_config(cfg, need_sweep=True)
@@ -233,9 +232,9 @@ def test_horizon_formula():
     cfg = tiny_config(eps=1e-2, delta=0.35,
                       t_final={"policy": "theorem_horizon", "c0_fit": 32.0})
     want = (0.35 / (6 * math.log(32.0))) * (1e-2) ** -(0.5 - 0.35) * math.log(1e2)
-    assert abs(horizon(cfg) - want) < 1e-12
+    assert abs(horizon(cfg["t_final"], 1e-2, 0.35, 32.0, 1e-3)[0] - want) < 1e-12
     fixed = tiny_config(t_final={"policy": "fixed", "value": 7.5})
-    assert horizon(fixed) == 7.5
+    assert horizon(fixed["t_final"], 1e-2, 0.35, 32.0, 1e-3)[0] == 7.5
 
 
 def test_build_helpers_roundtrip():
@@ -272,6 +271,20 @@ def test_main_reports_validation_errors(tmp_path):
     cfg["dt"] = -1.0
     path = write_config(tmp_path, cfg)
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_main_reports_unusable_output_directory(tmp_path, capsys, monkeypatch):
+    # a non-string or empty outdir, or an --out that names a file, is a
+    # config error for a run command and for validate alike
+    monkeypatch.chdir(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    runs = [["--config", write_config(tmp_path, tiny_config(outdir=5), "number.json")],
+            ["--config", write_config(tmp_path, tiny_config(outdir=""), "empty.json")],
+            ["--config", write_config(tmp_path, tiny_config()), "--out", str(taken)]]
+    for argv in [["track", *extra] for extra in runs] + [["validate", "--out", str(taken)]]:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("config error: output directory "), argv
 
 
 _SOLITON = {"a0": -3.0, "alpha0": 1.0, "phi0": 0.0, "mu0": 3.0}
@@ -364,7 +377,7 @@ def test_effective_writes_the_run_track_compares_against(tmp_path):
     out = tmp_path / "eff"
     assert main(["effective", "--config", write_config(tmp_path, cfg),
                  "--out", str(out)]) == 0
-    times = _sample_times(cfg)
+    times = run_spec(cfg).times
     states = evolve_effective(EffectiveState(0.0, build_g0(cfg)),
                               build_potential(cfg), cfg["eps"], float(times[-1]),
                               t_eval=times, grid=build_grid(cfg),
@@ -396,7 +409,25 @@ def test_track_runs_theorem_horizon(tmp_path):
     out = tmp_path / "th"
     assert main(["track", "--config", path, "--out", str(out)]) == 0
     last = float((out / "track.csv").read_text().splitlines()[-1].split(",")[0])
-    assert horizon(cfg) - cfg["dt"] < last <= horizon(cfg)
+    T = horizon(cfg["t_final"], cfg["eps"], cfg["delta"], 32.0, cfg["dt"])[0]
+    assert T - cfg["dt"] < last <= T
+
+
+def test_left_out_settings_take_the_readme_defaults(tmp_path):
+    # dt, stride, delta and t_final.c0_fit resolve to their defaults in
+    # one place: leaving them out and spelling the README's values out
+    # give the same run, byte for byte
+    theorem = {"policy": "theorem_horizon"}
+    bare = {k: v for k, v in tiny_config(t_final=theorem).items()
+            if k not in ("dt", "stride", "delta")}
+    spelled = tiny_config(dt=5e-4, stride=100, delta=0.35,
+                          t_final=dict(theorem, c0_fit=32))
+    outs = [tmp_path / "bare", tmp_path / "spelled"]
+    for cfg, out in zip((bare, spelled), outs):
+        assert main(["track", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+    for name in ("track.csv", "metrics.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_sweep_without_eps_list_fails(tmp_path):
@@ -536,11 +567,12 @@ def test_streamed_run_matches_stored_track():
     cfg = tiny_config(stride=1, t_final={"policy": "fixed", "value": 0.05})
     report, metrics, _ = _run_tracked(cfg)
 
-    grid, b, g0, eps = build_grid(cfg), build_potential(cfg), build_g0(cfg), 0.01
-    traj = evolve_pde(soliton_profile(g0, grid), b, eps, run_horizon(cfg),
+    spec = run_spec(cfg)
+    grid, b, g0, eps = spec.grid, spec.potential, spec.g0, 0.01
+    traj = evolve_pde(soliton_profile(g0, grid), b, eps, float(spec.times[-1]),
                       cfg["dt"], 1)
     assert len(traj.fields) == traj.times.size == 51
-    assert np.array_equal(_sample_times(cfg), traj.times)
+    assert np.array_equal(spec.times, traj.times)
     eff = evolve_effective(EffectiveState(0.0, g0), b, eps,
                            float(traj.times[-1]), t_eval=traj.times,
                            grid=grid, rtol=1e-11, atol=1e-13)
@@ -619,6 +651,19 @@ def test_benchmark_tracer_installs():
     done = subprocess.run(
         [sys.executable, "-c", "import tracing; tracing.install(tracing.Tracer())"],
         capture_output=True, text=True, env=env, cwd=root)
+    assert done.returncode == 0, done.stderr
+
+
+def test_benchmark_setup_probe_runs(tmp_path):
+    # perfbench/setup_probe.py times a run's set-up through validate_config,
+    # build_grid, build_potential, build_g0 and cli.soliton_profile; a
+    # renamed one would break only the benchmark's setup_s
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "setup_probe.py"),
+         write_config(tmp_path, tiny_config())],
+        capture_output=True, text=True, env=env, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
 
 

@@ -14,10 +14,7 @@ from szego_lab import cli, decomposition, dynamics, spectral_core
 from szego_lab.cli import (
     SPECTRAL_TAIL_MAX,
     _run_tracked,
-    _sample_times,
-    build_g0,
-    build_grid,
-    build_potential,
+    run_spec,
 )
 from szego_lab.spectral_core import (
     HardyField,
@@ -456,9 +453,9 @@ def test_effective_flow_matches_free_flow_without_potential(grid):
 def _transit_case():
     cfg = json.loads((Path(__file__).resolve().parents[1] / "configs"
                       / "transit.json").read_text())
-    times = _sample_times(cfg)
-    return (build_g0(cfg), build_potential(cfg), float(cfg["eps"]), float(times[-1]),
-            times, build_grid(cfg), 1e-11, 1e-13)
+    spec = run_spec(cfg)
+    return (spec.g0, spec.potential, spec.eps, float(spec.times[-1]),
+            spec.times, spec.grid, 1e-11, 1e-13)
 
 
 @pytest.mark.parametrize("case", ["transit", "continuum", "grid", "free"])
