@@ -412,6 +412,15 @@ def _map_tracked(cfgs: list, parallel: int) -> list:
 
 def cmd_sweep(cfg: dict, outdir: str, with_plots: bool, parallel: int) -> int:
     eps_list = [float(v) for v in cfg["eps_list"]]
+    # a member's directory is made once it completes, so a path that
+    # cannot be one is reported before any member runs
+    subs = [os.path.join(outdir, f"eps_{eps:g}") for eps in eps_list]
+    taken = [s for s in subs if os.path.lexists(s) and not os.path.isdir(s)]
+    for sub in taken:
+        print(f"config error: output directory {sub!r}: not a directory",
+              file=sys.stderr)
+    if taken:
+        return 2
     results = {}
     failure = None
     for eps, res in zip(eps_list, _map_tracked(

@@ -8,22 +8,27 @@ orthogonality conditions pair u - S(g) against the generator frame at
 g.  The frame, its parameter derivatives and the tangents of S are the
 family spectrum shape times polynomials of degree <= 2 in xi, so the
 residual and its Jacobian are closed-form combinations of six spectral
-moments of u and of the family shape.  The shape exp(-xi/mu - i a xi)
-comes from soliton_manifold.family_shape, the outer product of two
-exponential tables of about sqrt(n/2) points (the bins form a geometric
-sequence), and the moments are two products with the grid's
-[1, xi, xi^2] table; one FFT of u at entry is the only transform.  The
-moving-frame field w is materialized once, after convergence.
+moments of u and of the family shape.  The conjugate shape
+exp(-xi/mu + i a xi) comes from soliton_manifold.family_shape, the outer
+product of two exponential tables of about sqrt(n/2) points (the bins
+form a geometric sequence); the moments of u against it are one product
+with the grid's [1, xi, xi^2] table, and the |S|^2 moments are the closed
+geometric sums of family_shape_moments.  A field is read through its
+spectrum alone, its norm by Parseval, so a PDE sample, which holds its
+spectrum, is decomposed with no transform and no grid values.  The
+moving-frame field w is materialized once, after convergence, by
+reparametrize only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .spectral_core import HardyField, SpectralGrid
-from .operators import PotentialSpec, mass
+from .operators import PotentialSpec, mass  # perfbench's tracer wraps mass here
 from .soliton_manifold import (
     MU_MAX,
     GroupElement,
@@ -32,6 +37,7 @@ from .soliton_manifold import (
     family_mass_constant,
     family_drift_rate,
     family_shape,
+    family_shape_moments,
     inverse,
     mass_log_slope,
     soliton_profile,
@@ -82,23 +88,25 @@ def _residual_and_jacobian(u_pos: np.ndarray, g: GroupElement,
                            grid: SpectralGrid):
     """Orthogonality residual R_j = omega(u - S(g), E_j(g)) and its
     analytic 4x4 Jacobian in (a, alpha, phi, mu), from six moments,
-    with the family shape exp(-xi/mu - i a xi) they were built on.
+    with the conjugate family shape exp(-xi/mu + i a xi) they were taken
+    against.
 
     With base = S / (-2 pi i), the frame E_j, its parameter derivatives
     and the tangents dS/dg_k are all base times a polynomial of degree
     <= 2 in xi, so every pairing is a fixed combination of
     m_p = sum u conj(base) xi^p and q_p = sum |base|^2 xi^p, p = 0, 1, 2
-    (u - S contributes m_p + 2 pi i q_p).
+    (u - S contributes m_p + 2 pi i q_p).  base is alpha exp(i phi) times
+    the shape, so m_p is alpha exp(-i phi) times the moment against the
+    conjugate shape, and q_p is alpha^2 family_shape_moments.
     """
     al, mu = g.alpha, g.mu
-    shape = family_shape(g.a, mu, grid)
-    base = (np.exp(1j * g.phi) * al) * shape
-    bb = base.real * base.real + base.imag * base.imag
-    ub = u_pos * np.conj(base)
-    # rows p = 0, 1, 2 of [1, xi, xi^2] against (Re, Im) of ub and against bb
-    (x0, y0), (x1, y1), (x2, y2) = grid.xi_powers @ ub.view(float).reshape(-1, 2)
+    cshape = family_shape(-g.a, mu, grid)
+    # rows p = 0, 1, 2 of [1, xi, xi^2] against (Re, Im) of u conj(shape)
+    M = grid.xi_powers @ (u_pos * cshape).view(float).reshape(-1, 2)
+    m = M.view(complex)[:, 0] * (al * np.exp(-1j * g.phi))
+    (x0, x1, x2), (y0, y1, y2) = m.real, m.imag
     tp = 2.0 * np.pi
-    Q0, Q1, Q2 = tp * (grid.xi_powers @ bb)
+    Q0, Q1, Q2 = (tp * al * al * s for s in family_shape_moments(mu, grid))
     # R_j and J_jk written out in the moments, in units of 2 pi / L
     s = tp / grid.box_length
     R = s * np.array([-(y1 + Q1) / mu, x0, y0 + Q0, x1 / mu])
@@ -108,27 +116,30 @@ def _residual_and_jacobian(u_pos: np.ndarray, g: GroupElement,
         [-y1, x0 / al, y0, x1 / mu**2],
         [x1, (y0 + 2 * Q0) / al, -x0, (y1 + 2 * Q1) / mu**2],
         [-y2 / mu, x1 / (al * mu), y1 / mu, (x2 / mu - x1) / mu**2]])
-    return R, J, shape
+    return R, J, cshape
 
 
 def _newton(u_pos: np.ndarray, g0: GroupElement, grid: SpectralGrid,
             norm_u: float):
     """Damped Newton on the four orthogonality conditions.
 
-    Returns (g, iterations, residual, shape at g).  The residual is the
-    moving-frame value max_j |omega(w, e_j eta)|, which differs from
-    the lab-frame pairing by the conformal factor alpha^2 mu.
+    Returns (g, iterations, residual, conjugate shape at g).  The
+    residual is the moving-frame value max_j |omega(w, e_j eta)|, which
+    differs from the lab-frame pairing by the conformal factor
+    alpha^2 mu.
     """
     g = g0
-    R, J, shape = _residual_and_jacobian(u_pos, g, grid)
+    R, J, cshape = _residual_and_jacobian(u_pos, g, grid)
     for it in range(MAX_NEWTON_ITERS + 1):
         scale = g.alpha**2 * g.mu
         resid = float(np.max(np.abs(R))) / scale
         if resid < 1e-11 * norm_u:
-            return g, it, resid, shape
+            return g, it, resid, cshape
         if it == MAX_NEWTON_ITERS:
             break
-        if np.linalg.cond(J) > COND_LIMIT:
+        # the 2-norm condition number, infinite when J is singular
+        sv = np.linalg.svd(J, compute_uv=False)
+        if sv[0] > COND_LIMIT * sv[-1] or not sv[-1]:
             raise DegenerateParametrizationError(
                 f"orthogonality system condition number exceeds {COND_LIMIT:g} "
                 f"at g = {g}")
@@ -150,24 +161,25 @@ def _newton(u_pos: np.ndarray, g0: GroupElement, grid: SpectralGrid,
             raise TubularNeighborhoodError(
                 "Newton stalled: no damped step reduces the orthogonality "
                 "residual (field likely outside the tubular neighborhood)")
-        g, R, J, shape = accepted
+        g, R, J, cshape = accepted
     raise TubularNeighborhoodError(
         f"no convergence in {MAX_NEWTON_ITERS} Newton iterations "
         f"(last residual {resid:.3e})")
 
 
-def _exact_w_norms(u_pos: np.ndarray, g: GroupElement, shape: np.ndarray,
+def _exact_w_norms(u_pos: np.ndarray, g: GroupElement, cshape: np.ndarray,
                    grid: SpectralGrid):
     """L2 and H^{1/2} norms of w evaluated in the lab frame, given the
-    family shape at g from the last Newton evaluation.
+    conjugate family shape at g from the last Newton evaluation.
 
     The conformal change of variables maps the moving-frame mode zeta
     onto xi = mu * zeta bin by bin, so both norms are plain weighted
     sums over the lab spectrum of u - S(g); no resampling enters.
     """
     xi = grid.xi_pos
-    S = (np.exp(1j * g.phi) * g.alpha * (-2j * np.pi)) * shape
-    d2 = np.abs(u_pos - S) ** 2
+    # S = c shape is conj(conj(c) cshape), bitwise family_spectrum at g
+    d = u_pos - np.conj((np.exp(-1j * g.phi) * g.alpha * (2j * np.pi)) * cshape)
+    d2 = d.real ** 2 + d.imag ** 2
     scale = g.alpha**2 * g.mu * grid.box_length
     wl2 = float(np.sqrt(np.sum(d2) / scale))
     wh12 = float(np.sqrt(np.sum(np.sqrt(1.0 + (xi / g.mu) ** 2) * d2) / scale))
@@ -175,18 +187,21 @@ def _exact_w_norms(u_pos: np.ndarray, g: GroupElement, shape: np.ndarray,
 
 
 def _decompose(u: HardyField, g_guess: GroupElement):
-    """(g, iterations, residual, |w|_L2, |w|_H12) of u, Newton-iterated
-    from g_guess; raises TubularNeighborhoodError when the iteration
-    cannot converge or the remainder exceeds the tubular radius, and
+    """(g, iterations, residual, |w|_L2, |w|_H12, |u|_L2^2 by Parseval)
+    of u's spectrum, Newton-iterated from g_guess; raises
+    TubularNeighborhoodError when the iteration cannot converge or the
+    remainder exceeds the tubular radius, and
     DegenerateParametrizationError when the 4x4 system degenerates."""
     grid = u.grid
-    g, iters, resid, shape = _newton(u.spectrum, g_guess, grid, u.norm_l2())
-    wl2, wh12 = _exact_w_norms(u.spectrum, g, shape, grid)
+    spec = u.spectrum
+    m = float(spec.view(float) @ spec.view(float)) / grid.box_length
+    g, iters, resid, cshape = _newton(spec, g_guess, grid, math.sqrt(m))
+    wl2, wh12 = _exact_w_norms(spec, g, cshape, grid)
     if wh12 > TUBULAR_RADIUS:
         raise TubularNeighborhoodError(
             f"remainder H^(1/2) norm {wh12:.3g} exceeds the tubular radius "
             f"{TUBULAR_RADIUS}")
-    return g, iters, resid, wl2, wh12
+    return g, iters, resid, wl2, wh12, m
 
 
 def reparametrize(u: HardyField, g_guess: GroupElement) -> Decomposition:
@@ -194,7 +209,7 @@ def reparametrize(u: HardyField, g_guess: GroupElement) -> Decomposition:
     orthogonal to all four generator directions along the family
     (errors as in _decompose)."""
     grid = u.grid
-    g, iters, resid, wl2, wh12 = _decompose(u, g_guess)
+    g, iters, resid, wl2, wh12, _ = _decompose(u, g_guess)
     eta = soliton_profile(GroupElement(0.0, 1.0, 0.0, 1.0), grid)
     pulled = act(inverse(g), u)
     w = HardyField(grid, pulled.values - eta.values)
@@ -299,10 +314,10 @@ def _gdot_series(times: np.ndarray, params: np.ndarray) -> np.ndarray:
 
 
 class Tracker:
-    """Incremental form of track: add(t, u) decomposes one sample as it
-    is made and keeps only its parameters and norms, so a streamed run
-    (evolve_pde with on_sample=tracker.add) holds no fields; report()
-    then measures the run.
+    """Incremental form of track: add(t, u) decomposes one sample's
+    spectrum as it is made and keeps only its parameters and norms, so a
+    streamed run (evolve_pde with on_sample=tracker.add) holds no fields
+    and never builds their values; report() then measures the run.
     """
 
     def __init__(self, grid: SpectralGrid, g0: GroupElement = None):
@@ -317,11 +332,13 @@ class Tracker:
             # the free rates; the O(eps dt) error is far inside the Newton basin
             guess = free_flow(g_prev, t - t_prev, self.grid)
         else:
-            self.m0, guess = mass(u), self.g0
+            guess = self.g0
         try:
-            g, it, _, l2, h12 = _decompose(u, guess)
+            g, it, _, l2, h12, m = _decompose(u, guess)
         except (TubularNeighborhoodError, DegenerateParametrizationError) as e:
             raise type(e)(f"t = {t:.6g}: {e}") from e
+        if self.m0 is None:
+            self.m0 = m
         fam = g.alpha**2 * family_mass_constant(g.mu, self.grid)
         m_res = abs(g.alpha**2 * g.mu * l2**2 + fam - self.m0) / self.m0
         self.rows.append((t, g, l2, h12, it, m_res))

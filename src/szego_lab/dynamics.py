@@ -16,8 +16,10 @@ is the n/2 non-negative raw bins of a Hardy field, and _raw_rhs, the one
 right-hand-side kernel, forms each pointwise product on the (2, n/2)
 rows of its even and odd samples and projects it, each a batched
 transform through spectral_core's half-length layout (hardy_rows,
-project_rows); a PDE sample (from_bins) interleaves the rows that the
-next step starts from.  The pairing route needs no transform: by
+project_rows).  A PDE sample is one pass over what the step holds: the
+rows and |u|^2 that the next step starts from give the sample's field
+(from_bins, values built only if read) and its mass and H_b.  The
+pairing route needs no transform: by
 discrete Parseval its pairings are sums over the grid of b times the
 family profile and its xi-weighted companion, and the family's spectrum
 is geometric, so both are closed-form geometric sums evaluated on the
@@ -26,14 +28,13 @@ span of the potential's nonzero samples (abc_pairing).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .spectral_core import (HardyField, SpectralGrid, from_bins, hardy_rows,
                             project_rows, raw_bins)
-from .operators import (
+from .operators import (  # perfbench's tracer wraps mass and hamiltonian here
     PotentialSpec,
     hamiltonian,
     mass,
@@ -41,6 +42,7 @@ from .operators import (
 from .soliton_manifold import (
     GroupElement,
     family_drift_rate,
+    family_shape_moments,
     mass_log_slope,
 )
 
@@ -176,22 +178,15 @@ def abc_pairing(g: GroupElement, b: PotentialSpec, eps: float,
     and s^(1) the grid values of S and xi S.  The spectrum
     S_k = -2 pi i r^k, r = exp(dxi (-1/mu - i a)), is geometric, so s and
     s^(1) are the geometric sums of _support_sums, taken over the span of
-    the potential's nonzero samples; the s_p are geometric sums in
-    |r|^2.  The common factor 4 pi^2 cancels in the solve.  Converges to
-    abc_coefficients as L grows.
+    the potential's nonzero samples; the s_p are the closed geometric sums
+    in |r|^2 of family_shape_moments.  The common factor 4 pi^2 cancels
+    in the solve.  Converges to abc_coefficients as L grows.
     """
     if eps == 0.0:
         return CoefficientTriple(0.0, 0.0, 0.0)
     mu = g.mu
-    N = grid.n_points // 2
     dxi = 2.0 * np.pi / grid.box_length
-    # sums of k^p |r|^(2k) over k < N; om = 1 - |r|^2
-    om = -math.expm1(-2.0 * dxi / mu)
-    tail = math.exp(-2.0 * dxi * N / mu)
-    G = -math.expm1(-2.0 * dxi * N / mu) / om
-    T1 = (G - 1.0 - (N - 1) * tail) / om
-    T2 = (2.0 * T1 - (G - 1.0) - (N - 1) ** 2 * tail) / om
-    s0, s1, s2 = G, dxi * T1, dxi * dxi * T2
+    s0, s1, s2 = family_shape_moments(mu, grid)
     Y, Z = _support_sums(g.a, mu, b.on_grid(grid), grid)
     # Om[k, l] = L omega(T_k, T_l) and r_k = L omega(F, T_k) written out
     # for the tangents T = S * (-i xi, 1, i, xi/mu^2), from
@@ -209,26 +204,33 @@ def abc_pairing(g: GroupElement, b: PotentialSpec, eps: float,
     return CoefficientTriple(A, B, C)
 
 
-def _raw_rhs(V: np.ndarray, grid: SpectralGrid, eb: np.ndarray = None,
-             u: np.ndarray = None, w: np.ndarray = None) -> np.ndarray:
+def _rows_abs2(V: np.ndarray, grid: SpectralGrid, z: np.ndarray = None,
+               w: np.ndarray = None, sq: np.ndarray = None) -> tuple:
+    """The rows u = hardy_rows(V, grid) of the state with raw bins V and
+    |u|^2 on them, formed row by row as re^2 + im^2 (no hypot); run in the
+    (2, n/2) complex z, the (2, n/2) float w and the (n/2, 2) float
+    scratch sq when they are given.  V may be z[0]: it is read before z
+    is written."""
+    u = hardy_rows(V, grid, z)
+    w = np.empty(u.shape) if w is None else w
+    for row, out in zip(u.view(float).reshape(*u.shape, 2), w):
+        sq = np.square(row, out=sq)
+        np.add(sq[:, 0], sq[:, 1], out=out)
+    return u, w
+
+
+def _raw_rhs(u: np.ndarray, w: np.ndarray, grid: SpectralGrid,
+             eb: np.ndarray = None) -> np.ndarray:
     """The right-hand-side kernel on the n/2 non-negative raw FFT bins.
 
-    V holds bins [0, n/2) of fft(u), the Hardy layout of
-    spectral_core; the others vanish.  Returns the same bins of
-    fft(P(|u|^2 u + eb u)), the flow's right-hand side without its
+    u and w = |u|^2 are the rows of a state whose bins [0, n/2) of fft(u)
+    are its raw bins (_rows_abs2); the others vanish.  Returns the same
+    bins of fft(P(|u|^2 u + eb u)), the flow's right-hand side without its
     factor -i, which the caller applies; eb is eps b in the row layout of
-    spectral_core.hardy_rows, and P is spectral_core.project_rows, so the
-    negative half is never formed.
-
-    A caller that already holds the rows u = hardy_rows(V, grid) passes
-    them and the kernel consumes them: the projection runs in u's buffer
-    and the result is a view of its first row.  w, if given, is a
-    (2, n/2) float work array for |u|^2 + eb.
+    hardy_rows, and P is project_rows, so the negative half is never
+    formed.  Both arrays are consumed, and the result is a view of u's
+    first row.
     """
-    if u is None:
-        u = hardy_rows(V, grid)
-    w = np.abs(u, out=w)
-    w *= w
     if eb is not None:
         w += eb
     u *= w
@@ -237,8 +239,10 @@ def _raw_rhs(V: np.ndarray, grid: SpectralGrid, eb: np.ndarray = None,
 
 def _eb_rows(b: PotentialSpec, eps: float, grid: SpectralGrid) -> np.ndarray:
     """eps b on the grid in the (even, odd) row layout of hardy_rows, or None."""
-    if b is None or eps == 0.0:
+    if eps == 0.0:
         return None
+    if b is None:
+        raise ValueError("eps != 0 requires a potential")
     return np.multiply(b.on_grid(grid).reshape(-1, 2).T, eps, order="C")
 
 
@@ -246,7 +250,7 @@ def pde_rhs(u: HardyField, b: PotentialSpec = None, eps: float = 0.0) -> HardyFi
     """-i (P(|u|^2 u) + eps T_b u), the right-hand side of the flow,
     through the RK4 kernel _raw_rhs."""
     grid = u.grid
-    K = -1j * _raw_rhs(raw_bins(u), grid, _eb_rows(b, eps, grid))
+    K = -1j * _raw_rhs(*_rows_abs2(raw_bins(u), grid), grid, _eb_rows(b, eps, grid))
     return from_bins(K, grid)
 
 
@@ -278,15 +282,16 @@ def evolve_pde(u0: HardyField, b: PotentialSpec = None, eps: float = 0.0,
     transform has length n/2 and the continuum phases are applied only
     when a sample is taken: every `stride` steps, plus t = 0 and the
     final step.  The kernel's factor -i rides on the stage weights, and
-    the stages run in buffers allocated once per call.  Each step starts
-    from the rows u = hardy_rows(V), which its first stage consumes.  A
-    sample (from_bins) interleaves those rows into fresh values and
-    rescales the bins into a fresh spectrum, so it costs no transform.
-    Each sample goes to `on_sample(t, field)` as it is made, and its drifts
-    are taken; the momentum is the xi-weighted sum of |V|^2 over the
-    bins, whose factor dx^2 / L cancels in the relative drift.
-    The default sink keeps it in the returned `fields`; with any other,
-    `fields` stays empty and memory does not grow with the sample count.
+    the stages run in buffers allocated once per call.  Each step ends
+    with the rows u and |u|^2 of the new state (_rows_abs2), which the
+    next step's first stage consumes and a sample reads: its field is
+    from_bins of the rows (no transform), its mass and
+    H_b = int |u|^4 / 4 + eps b |u|^2 / 2 are dx sums over |u|^2, and its
+    momentum is the xi-weighted sum of |V|^2, whose factor dx^2 / L
+    cancels in the relative drift.  Each sample goes to
+    `on_sample(t, field)` as it is made.  The default sink keeps it in the
+    returned `fields`; with any other, `fields` stays empty and memory
+    does not grow with the sample count.
     """
     grid = u0.grid
     n_steps = int(round(t_final / dt))
@@ -297,18 +302,23 @@ def evolve_pde(u0: HardyField, b: PotentialSpec = None, eps: float = 0.0,
     on_sample = on_sample or (lambda t, f: fields.append(f))
     # work buffers belong to this call
     V = raw_bins(u0)
-    Y = np.empty_like(V)
     acc = np.empty_like(V)
     z = np.empty((2, V.size), dtype=complex)
     w = np.empty((2, V.size))
-    u = hardy_rows(V, grid, z)
-    times = [0.0]
-    f = from_bins(V, grid, u)
-    m0 = mass(f)
-    h0 = hamiltonian(f, b, eps)
-    xi = grid.xi_pos
-    p0 = xi @ (V.real ** 2 + V.imag ** 2)
-    on_sample(0.0, f)
+    sq = np.empty((V.size, 2))
+    dx, xi = grid.dx, grid.xi_pos
+    times = []
+
+    def sample(k, u, w):
+        """(mass, H_b, momentum) of the state after step k, sampled."""
+        times.append(k * dt)
+        on_sample(k * dt, from_bins(V, grid, u))
+        q = w.ravel()
+        h = 0.25 * (q @ q) + (0.5 * (eb.ravel() @ q) if eb is not None else 0.0)
+        return dx * q.sum(), dx * h, xi @ (V.real ** 2 + V.imag ** 2)
+
+    u, w = _rows_abs2(V, grid, z, w, sq)
+    m0, h0, p0 = sample(0, u, w)
     m_drift = h_drift = p_drift = 0.0
     h_scale = max(abs(h0), 1e-30)
     p_scale = max(p0, 1e-30)
@@ -320,28 +330,26 @@ def evolve_pde(u0: HardyField, b: PotentialSpec = None, eps: float = 0.0,
         # a diverging step is reported below, not warned about; the
         # sample consumers keep the caller's error state
         with np.errstate(over="ignore", invalid="ignore"):
-            K = _raw_rhs(V, grid, eb, u, w)
+            K = _raw_rhs(u, w, grid, eb)
             np.multiply(K, -1j * dt / 6.0, out=acc)
             for offset, weight in stages:
-                np.multiply(K, offset, out=Y)
-                Y += V
-                K = _raw_rhs(Y, grid, eb, hardy_rows(Y, grid, z), w)
-                np.multiply(K, weight, out=Y)
-                acc += Y
+                # K is z[0], and the projection left z[1] free: the stage
+                # state and the weighted K take no buffer of their own
+                K *= offset
+                K += V
+                K = _raw_rhs(*_rows_abs2(K, grid, z, w, sq), grid, eb)
+                acc += np.multiply(K, weight, out=z[1])
             V += acc
-        if not np.all(np.isfinite(V)):
+            u, w = _rows_abs2(V, grid, z, w, sq)
+        if not np.isfinite(V.view(float)).all():
             raise DivergenceError(f"non-finite field at step {k} (t={k * dt:.6g})")
-        u = hardy_rows(V, grid, z)
         if k % stride == 0 or k == n_steps:
-            f = from_bins(V, grid, u)
-            times.append(k * dt)
-            on_sample(k * dt, f)
-            m_drift = max(m_drift, abs(mass(f) - m0) / m0)
-            h_drift = max(h_drift, abs(hamiltonian(f, b, eps) - h0) / h_scale)
-            p = xi @ (V.real ** 2 + V.imag ** 2)
+            m, h, p = sample(k, u, w)
+            m_drift = max(m_drift, abs(m - m0) / m0)
+            h_drift = max(h_drift, abs(h - h0) / h_scale)
             p_drift = max(p_drift, abs(p - p0) / p_scale)
-    return PdeTrajectory(grid, np.array(times), fields, m_drift, h_drift,
-                         float(p_drift), eps, dt)
+    return PdeTrajectory(grid, np.array(times), fields, float(m_drift),
+                         float(h_drift), float(p_drift), eps, dt)
 
 
 def effective_rhs(s: EffectiveState, b: PotentialSpec, eps: float,

@@ -18,6 +18,7 @@ import numpy as np
 from .spectral_core import (
     HardyField,
     SpectralGrid,
+    _as_values,
     from_spectrum,
     quadrature,
     sobolev_norm,
@@ -167,9 +168,9 @@ def toeplitz_apply(b: PotentialSpec, h: HardyField) -> HardyField:
     return szego_project(b.on_grid(h.grid) * h.values, h.grid)
 
 
-def hankel_apply(u: HardyField, h: HardyField) -> HardyField:
-    """H_u h = P(u conj(h)); antilinear in h."""
-    vals = u.values * np.conj(h.values)
+def hankel_apply(u: HardyField, h) -> HardyField:
+    """H_u h = P(u conj(h)); antilinear in h, a field or grid samples."""
+    vals = u.values * np.conj(_as_values(h, u.grid)[1])
     return szego_project(vals, u.grid)
 
 
@@ -223,18 +224,19 @@ def _eta_pieces(grid: SpectralGrid):
     return cached
 
 
-def kernel_witness(h: HardyField) -> HardyField:
-    """Multiply by the squared inner factor ((x-i)/(x+i))^2.
+def kernel_witness(h: HardyField) -> np.ndarray:
+    """Grid samples of h times the squared inner factor ((x-i)/(x+i))^2.
 
-    The result lies in the kernel of the Hankel operator with symbol
-    eta^2.  Kept as the raw pointwise product: the factor is inner, so
-    the product is again a Hardy field up to grid truncation, and
-    leaving it unprojected preserves the rational cancellation that
-    the kernel identity rests on.
+    The product lies in the kernel of the Hankel operator with symbol
+    eta^2.  It is returned as the raw pointwise product, an array, not
+    a HardyField: the factor is inner, so the product is Hardy only up
+    to grid truncation (a smooth random field puts 1e-6 to 1e-5 of its
+    energy on the Nyquist and negative bins), and leaving it unprojected
+    preserves the rational cancellation that the kernel identity rests
+    on.  hankel_apply takes it as it is; szego_project makes it a field.
     """
-    grid = h.grid
-    q = (grid.x - 1j) / (grid.x + 1j)
-    return HardyField(grid, q * q * h.values)
+    q = (h.grid.x - 1j) / (h.grid.x + 1j)
+    return q * q * h.values
 
 
 def linearized_apply(w: HardyField) -> HardyField:

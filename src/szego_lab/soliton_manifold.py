@@ -48,6 +48,7 @@ __all__ = [
     "tangent_frame_spectra",
     "frame_gram",
     "family_shape",
+    "family_shape_moments",
     "family_spectrum",
     "family_mass_constant",
     "family_drift_rate",
@@ -132,6 +133,23 @@ def family_shape(a: float, mu: float, grid: SpectralGrid) -> np.ndarray:
     w = -1.0 / mu - 1j * a
     B = 1 << ((xi.size.bit_length() - 1) // 2)
     return np.multiply.outer(np.exp(w * xi[::B]), np.exp(w * xi[:B])).ravel()
+
+
+def family_shape_moments(mu: float, grid: SpectralGrid) -> tuple:
+    """(s0, s1, s2), s_p = sum_k xi_k^p |exp(-xi_k/mu)|^2 over the n/2 bins.
+
+    |shape|^2 is the geometric sequence x^k, x = exp(-2 dxi/mu), so with
+    N = n/2 the sums of k^p x^k over k < N are closed forms in
+    om = 1 - x and x^N, and s_p is dxi^p times them.
+    """
+    N = grid.n_points // 2
+    dxi = 2.0 * math.pi / grid.box_length
+    om = -math.expm1(-2.0 * dxi / mu)
+    tail = math.exp(-2.0 * dxi * N / mu)
+    G = -math.expm1(-2.0 * dxi * N / mu) / om
+    T1 = (G - 1.0 - (N - 1) * tail) / om
+    T2 = (2.0 * T1 - (G - 1.0) - (N - 1) ** 2 * tail) / om
+    return G, dxi * T1, dxi * dxi * T2
 
 
 def family_spectrum(g: GroupElement, grid: SpectralGrid) -> np.ndarray:

@@ -10,6 +10,8 @@ The projector works on the half-length layout that the RK4 kernel in
 dynamics shares: a Hardy field as its n/2 non-negative raw FFT bins and
 as the (2, n/2) rows of its even and odd samples, each one batched
 transform of the other by decimation in time (Cooley & Tukey, 1965).
+A field made on that layout (from_bins) keeps its rows and interleaves
+them into its n values only when they are first read.
 
 Fourier convention: spectrum(u)[k] approximates
 u_hat(xi_k) = int exp(-i xi_k x) u(x) dx with xi_k = 2 pi k / L, so the
@@ -161,16 +163,27 @@ class HardyField:
 
     ``spectrum`` holds the n/2 non-negative bins (see SpectralGrid), so
     every field's spectrum is Hardy by construction; it is computed from
-    the values on first use unless the constructor supplies it.
-    ``orbit`` tags fields known to lie on the soliton family (the group
-    element that generated them); the group action uses it to re-derive
-    closed forms instead of resampling.
+    the values on first use unless the constructor supplies it.  A field
+    made on the half-length layout (from_bins) holds the (2, n/2) rows of
+    its even and odd samples in place of its values, and interleaves them
+    on the first read of ``values``; a consumer of the spectrum alone
+    never builds the n values.  ``orbit`` tags fields known to lie on the
+    soliton family (the group element that generated them); the group
+    action uses it to re-derive closed forms instead of resampling.
     """
 
     grid: SpectralGrid
-    values: np.ndarray
+    _values: np.ndarray = field(default=None, repr=False)
     orbit: object = None
     _spectrum: np.ndarray = field(default=None, repr=False, compare=False)
+    _rows: np.ndarray = field(default=None, repr=False, compare=False)
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            object.__setattr__(self, "_values", _interleave(self._rows))
+            object.__setattr__(self, "_rows", None)
+        return self._values
 
     @property
     def spectrum(self) -> np.ndarray:
@@ -231,13 +244,18 @@ def raw_bins(h: HardyField) -> np.ndarray:
     return h.spectrum * h.grid._inv_phase
 
 
+def _interleave(rows: np.ndarray) -> np.ndarray:
+    """The n grid samples from the (2, n/2) rows of the even and odd ones."""
+    return rows.T.flatten()
+
+
 def from_bins(V: np.ndarray, grid: SpectralGrid, rows: np.ndarray = None) -> HardyField:
-    """The field with raw bins V, in fresh arrays: its rows
-    (hardy_rows(V, grid), unless the caller already holds them)
-    interleaved, and its spectrum V in continuum normalization."""
-    if rows is None:
-        rows = hardy_rows(V, grid)
-    return HardyField(grid, rows.T.flatten(), _spectrum=V * grid._fwd_phase)
+    """The field with raw bins V, in fresh arrays: its spectrum V in
+    continuum normalization, and its rows (hardy_rows(V, grid), or a copy
+    of the rows the caller already holds), interleaved into its values
+    on their first read."""
+    rows = hardy_rows(V, grid) if rows is None else rows.copy()
+    return HardyField(grid, _spectrum=V * grid._fwd_phase, _rows=rows)
 
 
 def szego_project(f, grid: SpectralGrid = None) -> HardyField:

@@ -287,6 +287,24 @@ def test_main_reports_unusable_output_directory(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().err.startswith("config error: output directory "), argv
 
 
+def test_sweep_reports_a_member_directory_that_is_a_file(tmp_path, capsys,
+                                                        monkeypatch):
+    # checked before any member runs: no member is integrated, nothing
+    # is written, and the taken path is named as an output directory error
+    def no_run(cfg):
+        raise AssertionError("a member ran")
+
+    monkeypatch.setattr(cli, "_run_tracked", no_run)
+    out = tmp_path / "s"
+    out.mkdir()
+    (out / "eps_0.02").write_text("")
+    path = write_config(tmp_path, tiny_config(eps_list=[4e-2, 2e-2, 1e-2]))
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output directory ") and "eps_0.02" in err
+    assert sorted(p.name for p in out.iterdir()) == ["eps_0.02"]
+
+
 _SOLITON = {"a0": -3.0, "alpha0": 1.0, "phi0": 0.0, "mu0": 3.0}
 
 

@@ -197,11 +197,12 @@ def test_half_length_kernel_matches_length_n_projection(log2n, eps, seed):
     g = (np.abs(u) ** 2 + eps * GAUSS.on_grid(grid)) * u
     ref = -1j * np.fft.fft(g)[:N]
     eb = dynamics._eb_rows(GAUSS, eps, grid)
-    K = -1j * dynamics._raw_rhs(V, grid, eb)
+    K = -1j * dynamics._raw_rhs(*dynamics._rows_abs2(V, grid), grid, eb)
     assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref))
-    # the stepping form, on the caller's rows and work array, is the same sum
-    rows = spectral_core.hardy_rows(V, grid, np.empty((2, N), dtype=complex))
-    assert np.array_equal(-1j * dynamics._raw_rhs(V, grid, eb, rows, np.empty((2, N))), K)
+    # the stepping form, in the caller's rows and work arrays, is the same sum
+    rows = dynamics._rows_abs2(V, grid, np.empty((2, N), dtype=complex),
+                               np.empty((2, N)), np.empty((N, 2)))
+    assert np.array_equal(-1j * dynamics._raw_rhs(*rows, grid, eb), K)
     # szego_project runs on the same helpers, so its independent check is
     # the full transform of the non-Hardy g with bins [n/2, n) zeroed
     G = np.fft.fft(g)
@@ -264,6 +265,41 @@ def test_stored_samples_do_not_alias_the_stepping_buffers(grid):
     for f, h in zip(traj.fields, traj.fields[1:]):
         assert not np.shares_memory(f.values, h.values)
         assert not np.shares_memory(f.spectrum, h.spectrum)
+
+
+def test_streamed_samples_never_build_their_values(monkeypatch):
+    # the decomposition reads each sample's spectrum alone, so a tracked
+    # run never interleaves a sample's rows into values
+    cfg = {"grid": {"n": 2048, "L": 128.0},
+           "soliton": {"a0": -3.0, "alpha0": 1.0, "phi0": 0.0, "mu0": 3.0},
+           "potential": {"kind": "gaussian", "amplitude": 1.0, "center": 0.0,
+                         "width": 1.0},
+           "eps": 0.01, "t_final": {"policy": "fixed", "value": 0.01},
+           "dt": 1e-3, "stride": 1}
+    built = []
+    interleave = spectral_core._interleave
+    monkeypatch.setattr(spectral_core, "_interleave",
+                        lambda rows: built.append(1) or interleave(rows))
+    report, _, _ = _run_tracked(cfg)
+    assert report.times.size == 11
+    assert built == []
+
+
+def test_stored_sample_values_are_the_interleaved_rows(grid):
+    # the values a stored sample builds on first read are bitwise its
+    # rows interleaved, and bitwise what a sink that reads them at once gets
+    u0 = soliton_profile(GroupElement(-3.0, 1.0, 0.0, 3.0), grid)
+    traj = evolve_pde(u0, GAUSS, 1e-2, t_final=0.01, dt=1e-3, stride=2)
+    read_at_once = []
+    evolve_pde(u0, GAUSS, 1e-2, t_final=0.01, dt=1e-3, stride=2,
+               on_sample=lambda t, f: read_at_once.append(f.values))
+    for f, v in zip(traj.fields, read_at_once):
+        rows = f._rows
+        assert rows.shape == (2, grid.n_points // 2)
+        assert np.array_equal(f.values[0::2], rows[0])
+        assert np.array_equal(f.values[1::2], rows[1])
+        assert f.values.tobytes() == v.tobytes()
+        assert f._rows is None
 
 
 def test_fft_only_on_the_rk4_path(monkeypatch):
@@ -365,6 +401,10 @@ def test_perturbed_run_conserves_mass_and_energy(grid):
     m0 = mass(traj.fields[0])
     m1 = mass(traj.fields[-1])
     assert abs(m1 - m0) / m0 <= traj.mass_drift + 1e-15
+    # the in-loop H_b, summed over the kernel's |u|^2, against hamiltonian()
+    h0 = hamiltonian(traj.fields[0], GAUSS, 1e-2)
+    h1 = hamiltonian(traj.fields[-1], GAUSS, 1e-2)
+    assert abs(h1 - h0) / abs(h0) <= traj.hamiltonian_drift + 1e-15
     # the in-loop momentum sum against momentum() of the stored samples
     p = np.array([momentum(f) for f in traj.fields])
     assert traj.momentum_drift > 1e-7

@@ -156,8 +156,30 @@ def test_kernel_witness_preserves_norm(grid, rng):
     h = random_rational_field(grid, rng)
     f = kernel_witness(h)
     # unimodular multiplier: pointwise modulus is untouched
-    assert_allclose(np.abs(f.values), np.abs(h.values), atol=1e-13)
-    assert abs(f.norm_l2() - h.norm_l2()) < 1e-12
+    assert_allclose(np.abs(f), np.abs(h.values), atol=1e-13)
+    assert abs(np.sqrt(grid.dx * np.sum(np.abs(f) ** 2)) - h.norm_l2()) < 1e-12
+
+
+def test_kernel_witness_is_the_raw_product_not_a_field(grid, rng):
+    # the product is Hardy only up to grid truncation, so it comes back
+    # as grid samples; numpy.fft of the samples shows what a HardyField
+    # of them would have lost between its values and its n/2 bins
+    h = random_hardy_field(grid, rng)
+    k = kernel_witness(h)
+    q = (grid.x - 1j) / (grid.x + 1j)
+    assert type(k) is np.ndarray and np.array_equal(k, q * q * h.values)
+    N = grid.n_points // 2
+    K = np.fft.fft(k)
+    outside = np.sum(np.abs(K[N:]) ** 2) / np.sum(np.abs(K) ** 2)
+    assert 1e-7 < outside < 1e-4
+    # H_u reads the samples as they are: P(u conj(k)) at length n, which
+    # nearly vanishes, so the error is measured against the product
+    symbol = HardyField(grid, soliton_profile(identity(), grid).values ** 2)
+    product = symbol.values * np.conj(k)
+    G = np.fft.fft(product)
+    G[N:] = 0.0
+    got = hankel_apply(symbol, k).values
+    assert np.max(np.abs(got - np.fft.ifft(G))) <= 1e-13 * np.max(np.abs(product))
 
 
 def test_kernel_witness_annihilated_by_hankel(grid):
@@ -179,7 +201,7 @@ def test_witness_of_soliton_closed_form(grid, tail_tol):
     # the identity is pinned at twice the usual truncation floor; a sign
     # error anywhere in L would show up at order one.
     eta = soliton_profile(identity(), grid)
-    out = linearized_apply(kernel_witness(eta))
+    out = linearized_apply(szego_project(kernel_witness(eta), grid))
     q = (grid.x - 1j) / (grid.x + 1j)
     expected = q * q * (0.5j * eta.values**2 + 0.25 * eta.values)
     diff = np.sqrt(np.sum(np.abs(out.values - expected) ** 2) * grid.dx)

@@ -10,6 +10,7 @@ from szego_lab.spectral_core import (
     random_hardy_field,
     random_rational_field,
 )
+from szego_lab.cli import SPECTRAL_TAIL_MAX
 from szego_lab.operators import mass
 from szego_lab.soliton_manifold import (
     MU_MAX,
@@ -20,6 +21,7 @@ from szego_lab.soliton_manifold import (
     family_drift_rate,
     family_mass_constant,
     family_shape,
+    family_shape_moments,
     family_spectrum,
     frame_gram,
     generator_spectra,
@@ -115,6 +117,19 @@ def test_family_shape_is_the_direct_exponential(n):
             tol = 4 * np.finfo(float).eps * (1.0 + abs(-1.0 / mu - 1j * a) * xi)
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= tol * np.abs(want) + 1e-300), (mu, a)
+
+
+@pytest.mark.parametrize("n, L", [(8192, 256.0), (2048, 128.0)])
+def test_family_shape_moments_are_the_direct_sums(n, L):
+    # the closed geometric sums against sum_k xi_k^p |shape_k|^2, from
+    # the smallest scale to the largest, and at the coarsest scale the
+    # config check resolves (top-bin tail exp(-xi_max/mu) = 1e-6)
+    grid = SpectralGrid(n, L)
+    mu_limit = grid.xi_pos[-1] / -np.log(SPECTRAL_TAIL_MAX)
+    for mu in (MU_MIN, 1.0, mu_limit, MU_MAX):
+        want = grid.xi_powers @ np.abs(family_shape(0.7, mu, grid)) ** 2
+        got = np.array(family_shape_moments(mu, grid))
+        assert np.all(np.abs(got - want) <= 1e-13 * want), mu
 
 
 def test_family_spectrum_matches_profile(grid):
