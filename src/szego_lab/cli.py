@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import os
+import pickle
 import signal
 import sys
 from dataclasses import dataclass
@@ -369,9 +370,9 @@ def _tracked_or_error(cfg: dict):
 
 
 def _end_with_parent(parent: int) -> None:
-    """Initializer of a forked worker: Linux kills it when the process
+    """First act of a forked worker: Linux kills it when the process
     that forked it ends, however that ends, so a killed sweep leaves no
-    worker idling on its task queue.  Elsewhere this does nothing."""
+    worker running its members.  Elsewhere this does nothing."""
     import ctypes
     prctl = getattr(ctypes.CDLL(None), "prctl", None)
     if prctl is not None:
@@ -380,33 +381,73 @@ def _end_with_parent(parent: int) -> None:
         os._exit(1)
 
 
+def _send_members(cfgs: list, own: range, fd: int) -> int:
+    """A forked worker's members `own`, each pickled as (index, result)
+    to the pipe fd once done.  No write waits on the reader before the
+    last member: what the pipe cannot take yet is held back until then.
+    Returns the exit status, 1 if a result could not be pickled (that
+    member is not sent)."""
+    status, pending = 0, b""
+    os.set_blocking(fd, False)
+    for i in own:
+        res = _tracked_or_error(cfgs[i])
+        try:
+            pending += pickle.dumps((i, res))
+        except Exception:          # whatever pickle raised, it is not sent
+            status = 1
+        try:
+            pending = pending[os.write(fd, pending):]
+        except BlockingIOError:    # the parent is still on its own members
+            pass
+    os.set_blocking(fd, True)
+    while pending:
+        pending = pending[os.write(fd, pending):]
+    return status
+
+
 def _map_tracked(cfgs: list, parallel: int) -> list:
     """_run_tracked of each config, or the exception that run raised,
     `parallel` configs at a time.  With k = min(parallel, len(cfgs)),
-    this process runs configs 0, k, 2k, ... itself and k - 1 workers run
-    the rest; at k = 1 nothing is forked.  Members share no state, and
-    in separate processes their short ufuncs and the Python glue between
-    them do not contend for one GIL.  Workers are forked, not spawned:
-    they start with the package imported and with this process's module
-    attributes."""
+    this process runs configs 0, k, 2k, ... and worker j of k - 1 runs
+    configs j, j + k, ...; at k = 1 nothing is forked.  In separate
+    processes the members' short ufuncs and Python glue do not contend
+    for one GIL.  A worker is a bare os.fork of this single-threaded
+    process, so it starts with this process's module attributes; it
+    reports through its own pipe (_send_members), read to its end once
+    this process's members are done.  A member that never arrives gets
+    an error naming the worker's exit status or signal."""
     k = min(parallel, len(cfgs))
-    if k <= 1:
-        return [_tracked_or_error(c) for c in cfgs]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(k - 1, mp_context=fork,
-                             initializer=_end_with_parent,
-                             initargs=(os.getpid(),)) as pool:
-        futs = {i: pool.submit(_tracked_or_error, c)
-                for i, c in enumerate(cfgs) if i % k}
-        out = [_tracked_or_error(c) if i % k == 0 else None
-               for i, c in enumerate(cfgs)]
-        for i, fut in futs.items():
+    parent, workers = os.getpid(), []
+    for j in range(1, k):
+        own = range(j, len(cfgs), k)
+        r, w = os.pipe()
+        pid = os.fork()
+        if pid == 0:               # the worker never returns from here
             try:
-                out[i] = fut.result()
-            except Exception as exc:   # worker died or result unpicklable
-                out[i] = exc
+                os.close(r)
+                _end_with_parent(parent)
+                os._exit(_send_members(cfgs, own, w))
+            finally:               # any other way out: an error escaped
+                os._exit(1)
+        os.close(w)
+        workers.append((pid, r, own))
+    out = [None] * len(cfgs)
+    for i in range(0, len(cfgs), k):
+        out[i] = _tracked_or_error(cfgs[i])
+    for pid, r, own in workers:
+        with os.fdopen(r, "rb") as pipe:
+            while True:
+                try:
+                    i, res = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):   # end, or cut short
+                    break
+                out[i] = res
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        how = (f"was killed by signal {-code} ({signal.strsignal(-code)})"
+               if code < 0 else f"exited with status {code}")
+        for i in own:
+            if out[i] is None:
+                out[i] = RuntimeError(f"worker {pid} {how} before it sent member {i}")
     return out
 
 
@@ -496,8 +537,8 @@ def main(argv=None) -> int:
     ap.add_argument("--plots", action="store_true", help="also write SVG plots")
     ap.add_argument("--parallel", type=int, default=1, metavar="N",
                     help="sweep members run at once: one in this process, "
-                         "the others in forked workers (N > 1 needs the "
-                         "POSIX fork start method)")
+                         "the others in workers made by os.fork (N > 1 "
+                         "needs POSIX)")
     args = ap.parse_args(argv)
     if args.parallel < 1:
         ap.error("--parallel must be at least 1")

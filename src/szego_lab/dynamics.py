@@ -207,15 +207,13 @@ def abc_pairing(g: GroupElement, b: PotentialSpec, eps: float,
 def _rows_abs2(V: np.ndarray, grid: SpectralGrid, z: np.ndarray = None,
                w: np.ndarray = None, sq: np.ndarray = None) -> tuple:
     """The rows u = hardy_rows(V, grid) of the state with raw bins V and
-    |u|^2 on them, formed row by row as re^2 + im^2 (no hypot); run in the
-    (2, n/2) complex z, the (2, n/2) float w and the (n/2, 2) float
-    scratch sq when they are given.  V may be z[0]: it is read before z
-    is written."""
+    |u|^2 on them, formed in one pass as re^2 + im^2 (no hypot); run in
+    the (2, n/2) complex z and the (2, n/2) floats w and sq (the im^2
+    scratch) when they are given.  V may be z[0]: it is read before z is
+    written."""
     u = hardy_rows(V, grid, z)
-    w = np.empty(u.shape) if w is None else w
-    for row, out in zip(u.view(float).reshape(*u.shape, 2), w):
-        sq = np.square(row, out=sq)
-        np.add(sq[:, 0], sq[:, 1], out=out)
+    w = np.square(u.real, out=w)
+    w += np.square(u.imag, out=sq)
     return u, w
 
 
@@ -305,7 +303,7 @@ def evolve_pde(u0: HardyField, b: PotentialSpec = None, eps: float = 0.0,
     acc = np.empty_like(V)
     z = np.empty((2, V.size), dtype=complex)
     w = np.empty((2, V.size))
-    sq = np.empty((V.size, 2))
+    sq = np.empty_like(w)
     dx, xi = grid.dx, grid.xi_pos
     times = []
 

@@ -2,12 +2,12 @@ import dataclasses
 import importlib.util
 import json
 import math
-import multiprocessing
 import os
 import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -481,8 +481,34 @@ def test_sweep_rejects_a_pool_below_one_worker(tmp_path, capsys, parallel):
     assert not out.exists()
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """Every pid os.fork returns in this process, and the thread count at
+    each fork (a worker is forked from a single-threaded process)."""
+    real_fork, pids, threads = os.fork, [], []
+
+    def fork():
+        threads.append(threading.active_count())
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids, threads
+
+
+def assert_reaped(forks, n):
+    # n workers, each forked alone and reaped before the sweep returned
+    pids, threads = forks
+    assert len(pids) == n and threads == [1] * n
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 @pytest.mark.parametrize("parallel", ["2", "3"])
-def test_sweep_parallel_matches_serial(tmp_path, parallel):
+def test_sweep_parallel_matches_serial(tmp_path, parallel, forks):
     # members in forked workers must write what one process writes
     path = write_config(tmp_path, tiny_config(eps_list=[4e-2, 2e-2, 1e-2]))
     outs = []
@@ -497,10 +523,11 @@ def test_sweep_parallel_matches_serial(tmp_path, parallel):
         for name in ("track.csv", "metrics.json"):
             got, want = (o / f"eps_{eps:g}" / name for o in outs)
             assert got.read_bytes() == want.read_bytes(), (eps, name)
+    assert_reaped(forks, int(parallel) - 1)
 
 
 def test_sweep_reports_a_member_that_fails_in_a_worker(tmp_path, capsys,
-                                                        monkeypatch):
+                                                        monkeypatch, forks):
     # at --parallel 2 this process runs eps 0.04 and 0.01, the one
     # forked worker eps 0.02, which inherits the patched _run_tracked
     real = cli._run_tracked
@@ -522,7 +549,66 @@ def test_sweep_reports_a_member_that_fails_in_a_worker(tmp_path, capsys,
     assert summary["completed"] == [0.04, 0.01]
     assert sorted(p.name for p in out.iterdir() if p.is_dir()) \
         == ["eps_0.01", "eps_0.04"]
-    assert multiprocessing.active_children() == []
+    assert_reaped(forks, 1)
+
+
+def test_sweep_reports_a_worker_killed_by_a_signal(tmp_path, capsys,
+                                                   monkeypatch, forks):
+    # the forked worker of --parallel 2 runs eps 0.02 and kills itself
+    # there; the member it never sent fails alone, named by the signal
+    real, cli_pid = cli._run_tracked, os.getpid()
+
+    def die_at_002(cfg):
+        if cfg["eps"] == 0.02 and os.getpid() != cli_pid:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "_run_tracked", die_at_002)
+    path = write_config(tmp_path, tiny_config(eps_list=[4e-2, 2e-2, 1e-2]))
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", path, "--out", str(out),
+                 "--parallel", "2"]) == 1
+    assert "member eps=0.02 failed: worker" in capsys.readouterr().err
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert summary["failed_eps"] == 0.02
+    assert f"killed by signal {int(signal.SIGKILL)} " in summary["error"]
+    assert summary["error"].startswith("RuntimeError: worker ")
+    assert summary["completed"] == [0.04, 0.01]
+    for eps in ("0.04", "0.01"):
+        assert (out / f"eps_{eps}" / "metrics.json").is_file()
+    assert not (out / "eps_0.02").exists()
+    assert_reaped(forks, 1)
+
+
+def test_a_member_whose_result_cannot_be_pickled_fails_alone(monkeypatch, forks):
+    # at --parallel 2 the worker runs members 1 and 3: member 1's result
+    # holds a lambda, which pickle refuses; member 3 still arrives
+    monkeypatch.setattr(cli, "_run_tracked",
+                        lambda cfg: (lambda: None) if cfg["i"] == 1 else cfg["i"])
+    out = cli._map_tracked([{"i": i} for i in range(4)], 2)
+    assert [out[i] for i in (0, 2, 3)] == [0, 2, 3]
+    assert isinstance(out[1], RuntimeError)
+    assert str(out[1]).endswith("exited with status 1 before it sent member 1")
+    assert_reaped(forks, 1)
+
+
+def test_a_worker_does_not_wait_for_the_parent_to_read(monkeypatch, forks):
+    # a result larger than the pipe is held back in the worker, which goes
+    # on to its next member while this process still runs its own
+    t0 = time.monotonic()
+
+    def run(cfg):
+        i = cfg["i"]
+        if i % 2 == 0:
+            time.sleep(1.0)        # this process's members 0 and 2
+            return i
+        return bytes(1 << 20) if i == 1 else time.monotonic() - t0
+
+    monkeypatch.setattr(cli, "_run_tracked", run)
+    out = cli._map_tracked([{"i": i} for i in range(4)], 2)
+    assert out[:3] == [0, bytes(1 << 20), 2]
+    assert out[3] < 1.0, "the worker's second member waited for the parent"
+    assert_reaped(forks, 1)
 
 
 def test_sweep_in_one_process_forks_nothing(tmp_path, monkeypatch):
@@ -538,8 +624,8 @@ def test_sweep_in_one_process_forks_nothing(tmp_path, monkeypatch):
 @pytest.mark.skipif(not Path(f"/proc/self/task/{os.getpid()}/children").exists(),
                     reason="reads the process tree from Linux /proc")
 def test_sweep_worker_ends_with_a_killed_cli(tmp_path):
-    # a worker idles on its task queue once its member is done; if the
-    # CLI is killed it must not be left behind
+    # a worker runs its 30-unit member while the CLI runs its own; if the
+    # CLI is killed meanwhile, the worker must end with it, not run on
     cfg = tiny_config(eps_list=[4e-2, 2e-2, 1e-2],
                       t_final={"policy": "fixed", "value": 30.0})
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -634,8 +720,9 @@ def test_commands_leave_scipy_integrate_and_interpolate_unloaded(tmp_path):
     # only by table potentials and non-family rescales, and the FFTs call
     # the compiled pocketfft directly, so no command pays for any of these
     # subpackages at start-up.  The run commands also leave numpy.random
-    # (and the OpenSSL it loads through secrets and hashlib) and numpy.fft
-    # unloaded; only validate's random draws need numpy.random.
+    # (and the OpenSSL it loads through secrets and hashlib), numpy.fft and
+    # multiprocessing unloaded: only validate's random draws need
+    # numpy.random, and sweep's workers are bare forks with a pipe each.
     path = write_config(tmp_path, tiny_config(eps_list=[4e-2, 2e-2, 1e-2]))
     runs = [[cmd, "--config", path, "--out", str(tmp_path / cmd), *extra]
             for cmd, *extra in (["simulate"], ["effective"], ["track", "--plots"],
@@ -644,7 +731,8 @@ def test_commands_leave_scipy_integrate_and_interpolate_unloaded(tmp_path):
     script = ("import sys\nfrom szego_lab import cli\n"
               f"for argv in {runs!r}:\n    assert cli.main(argv) == 0, argv\n"
               "print('runs:', sorted({'numpy.random', 'numpy.fft', 'hashlib',"
-              " '_hashlib', 'secrets'} & set(sys.modules)))\n"
+              " '_hashlib', 'secrets', 'multiprocessing', 'concurrent.futures'}"
+              " & set(sys.modules)))\n"
               f"assert cli.main({validate!r}) == 0\n"
               "print('all:', sorted({'scipy.fft', 'scipy.integrate', 'scipy.interpolate'}"
               " & set(sys.modules)))")

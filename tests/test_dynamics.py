@@ -201,7 +201,7 @@ def test_half_length_kernel_matches_length_n_projection(log2n, eps, seed):
     assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref))
     # the stepping form, in the caller's rows and work arrays, is the same sum
     rows = dynamics._rows_abs2(V, grid, np.empty((2, N), dtype=complex),
-                               np.empty((2, N)), np.empty((N, 2)))
+                               np.empty((2, N)), np.empty((2, N)))
     assert np.array_equal(-1j * dynamics._raw_rhs(*rows, grid, eb), K)
     # szego_project runs on the same helpers, so its independent check is
     # the full transform of the non-Hardy g with bins [n/2, n) zeroed
@@ -212,6 +212,24 @@ def test_half_length_kernel_matches_length_n_projection(log2n, eps, seed):
     assert np.max(np.abs(p.values - want)) <= 1e-13 * np.max(np.abs(want))
     want = G[:N] * grid.dx * np.exp(-1j * grid.xi_pos * grid.x[0])
     assert np.max(np.abs(p.spectrum - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@given(log2n=st.integers(4, 13), seed=st.integers(0, 2**31 - 1))
+def test_rows_abs2_is_re2_plus_im2_bitwise(log2n, seed):
+    # the kernel's |u|^2, alone and in the caller's buffers, is bitwise
+    # the textbook re^2 + im^2 of the rows (no hypot)
+    n = 1 << log2n
+    grid = SpectralGrid(n, n / 32.0)
+    rng = np.random.default_rng(seed)
+    N = n // 2
+    V = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) * (n / N**0.5)
+    u, w = dynamics._rows_abs2(V, grid)
+    assert np.array_equal(u, spectral_core.hardy_rows(V, grid))
+    assert np.array_equal(w, u.real**2 + u.imag**2)
+    z, ws, sq = np.empty((2, N), dtype=complex), np.empty((2, N)), np.empty((2, N))
+    got = dynamics._rows_abs2(V, grid, z, ws, sq)
+    assert got[0] is z and got[1] is ws
+    assert np.array_equal(ws, w) and np.array_equal(z, u)
 
 
 def test_lean_kernel_matches_reference_rk4(grid):
