@@ -25,8 +25,6 @@ from .spectral_core import SpectralGrid, sobolev_norm
 from .operators import (
     constant_potential,
     gaussian_potential,
-    hamiltonian,
-    mass,
     sech2_potential,
     table_potential,
 )
@@ -254,20 +252,14 @@ def _write_json(path, obj) -> None:
 
 def cmd_simulate(cfg: dict, outdir: str, with_plots: bool) -> int:
     spec = run_spec(cfg)
-    norms_l2, norms_h12, masses, hams = [], [], [], []
-
-    def on_sample(t, f):
-        norms_l2.append(f.norm_l2())
-        norms_h12.append(sobolev_norm(f, 0.5))
-        masses.append(mass(f))
-        hams.append(hamiltonian(f, spec.potential, spec.eps))
-
+    norms_h12 = []
     traj = evolve_pde(soliton_profile(spec.g0, spec.grid), spec.potential,
                       spec.eps, float(spec.times[-1]), spec.dt, spec.stride,
-                      on_sample=on_sample)
+                      on_sample=lambda t, f: norms_h12.append(sobolev_norm(f, 0.5)))
     _write_csv(os.path.join(outdir, "fields.csv"),
                ["t", "norm_L2", "norm_H12", "mass", "hamiltonian"],
-               [traj.times, norms_l2, norms_h12, masses, hams])
+               [traj.times, np.sqrt(traj.mass), norms_h12, traj.mass,
+                traj.hamiltonian])
     _write_json(os.path.join(outdir, "conservation.json"), {
         "eps": spec.eps, "dt": traj.dt, "t_final": float(traj.times[-1]),
         "samples": int(traj.times.size),
@@ -276,7 +268,7 @@ def cmd_simulate(cfg: dict, outdir: str, with_plots: bool) -> int:
     })
     if with_plots:
         plots.line_plot(os.path.join(outdir, "conservation.svg"),
-                        traj.times, [masses, hams],
+                        traj.times, [traj.mass, traj.hamiltonian],
                         labels=["mass", "H_b"], title="conserved quantities",
                         xlabel="t")
     print(f"simulate: {traj.times.size} samples -> {outdir}/fields.csv "

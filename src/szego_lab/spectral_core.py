@@ -141,6 +141,10 @@ class SpectralGrid:
         object.__setattr__(self, "_fwd_phase", dx * np.exp(-1j * xi * x[0]))
         object.__setattr__(self, "_inv_phase", (n / L) * np.exp(1j * xi * x[0]))
 
+    def __reduce__(self):
+        """Pickle n and L alone; the tables are rebuilt on load."""
+        return SpectralGrid, (self.n_points, self.box_length)
+
 
 def spectrum(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
     """Continuum-normalized Fourier coefficients of grid samples on the

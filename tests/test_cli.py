@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import pickle
 import re
 import signal
 import subprocess
@@ -348,6 +349,23 @@ def test_simulate_writes_deterministic_outputs(tmp_path):
     assert cons["hamiltonian_drift"] < 1e-9
 
 
+def test_simulate_fields_agree_with_conservation(tmp_path):
+    # fields.csv and conservation.json come from the run's own per-sample
+    # sums: each column's largest relative change is its drift, exactly,
+    # and norm_L2 is the square root of the mass
+    path = write_config(tmp_path, tiny_config(stride=10))
+    assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "fields.csv").read_text().splitlines()[1:]
+    _, norm_l2, _, m, h = np.array([[float(v) for v in r.split(",")]
+                                    for r in rows]).T
+    cons = json.loads((tmp_path / "conservation.json").read_text())
+    assert m.size == cons["samples"] == 21
+    assert cons["mass_drift"] > 0 and cons["hamiltonian_drift"] > 0
+    assert np.max(np.abs(m - m[0]) / m[0]) == cons["mass_drift"]
+    assert np.max(np.abs(h - h[0]) / abs(h[0])) == cons["hamiltonian_drift"]
+    assert np.array_equal(norm_l2, np.sqrt(m))
+
+
 def test_simulate_plots_flag(tmp_path):
     path = write_config(tmp_path, tiny_config())
     out = tmp_path / "plotted"
@@ -609,6 +627,16 @@ def test_a_worker_does_not_wait_for_the_parent_to_read(monkeypatch, forks):
     assert out[:3] == [0, bytes(1 << 20), 2]
     assert out[3] < 1.0, "the worker's second member waited for the parent"
     assert_reaped(forks, 1)
+
+
+def test_member_result_pickles_without_the_grid_tables():
+    # a worker pipes each member's result to the CLI; the n = 8192 grid's
+    # tables alone would pickle to about 450 KiB of it
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                      / "sweep.json").read_text())
+    cfg = dict(cfg, eps=cfg["eps_list"][0],
+               t_final={"policy": "fixed", "value": 0.5})
+    assert len(pickle.dumps(_run_tracked(cfg))) < 32 * 1024
 
 
 def test_sweep_in_one_process_forks_nothing(tmp_path, monkeypatch):

@@ -269,6 +269,8 @@ def test_evolve_pde_sampling(grid):
     assert_allclose(traj.times, [0.0, 0.025, 0.05, 0.075, 0.1], atol=1e-12)
     assert len(traj.fields) == 5
     assert traj.dt == 1e-3
+    for sums in (traj.mass, traj.hamiltonian, traj.momentum):
+        assert sums.shape == traj.times.shape
 
 
 def test_stored_samples_do_not_alias_the_stepping_buffers(grid):
@@ -285,9 +287,10 @@ def test_stored_samples_do_not_alias_the_stepping_buffers(grid):
         assert not np.shares_memory(f.spectrum, h.spectrum)
 
 
-def test_streamed_samples_never_build_their_values(monkeypatch):
-    # the decomposition reads each sample's spectrum alone, so a tracked
-    # run never interleaves a sample's rows into values
+def test_streamed_samples_never_build_their_values(monkeypatch, tmp_path):
+    # the decomposition reads each sample's spectrum alone, and simulate
+    # its spectrum and the run's sums, so neither run interleaves a
+    # sample's rows into values
     cfg = {"grid": {"n": 2048, "L": 128.0},
            "soliton": {"a0": -3.0, "alpha0": 1.0, "phi0": 0.0, "mu0": 3.0},
            "potential": {"kind": "gaussian", "amplitude": 1.0, "center": 0.0,
@@ -300,6 +303,7 @@ def test_streamed_samples_never_build_their_values(monkeypatch):
                         lambda rows: built.append(1) or interleave(rows))
     report, _, _ = _run_tracked(cfg)
     assert report.times.size == 11
+    assert cli.cmd_simulate(cfg, str(tmp_path), False) == 0
     assert built == []
 
 
@@ -427,6 +431,11 @@ def test_perturbed_run_conserves_mass_and_energy(grid):
     p = np.array([momentum(f) for f in traj.fields])
     assert traj.momentum_drift > 1e-7
     assert abs(traj.momentum_drift - np.max(np.abs(p - p[0])) / p[0]) < 1e-13
+    # each sample's sums against the same functionals of its field
+    assert_allclose(traj.mass, [mass(f) for f in traj.fields], rtol=1e-13)
+    assert_allclose(traj.hamiltonian,
+                    [hamiltonian(f, GAUSS, 1e-2) for f in traj.fields], rtol=1e-13)
+    assert_allclose(traj.momentum * grid.dx**2 / grid.box_length, p, rtol=1e-13)
 
 
 @given(seed=st.integers(0, 2**31 - 1))

@@ -1,4 +1,5 @@
 import importlib.util
+import pickle
 import re
 import types
 
@@ -62,6 +63,19 @@ def test_grid_rejects_bad_point_count(n):
 def test_grid_rejects_bad_box():
     with pytest.raises(ValueError):
         SpectralGrid(1024, -2.0)
+
+
+def test_pickled_grid_rebuilds_its_tables_bitwise(grid):
+    # a grid pickles as (n, L) alone, and every table rebuilt on load is
+    # bitwise the original's
+    data = pickle.dumps(grid)
+    assert len(data) < 200
+    back = pickle.loads(data)
+    assert back == grid and vars(back).keys() == vars(grid).keys()
+    for name, table in vars(grid).items():
+        rebuilt = getattr(back, name)
+        assert type(rebuilt) is type(table), name
+        assert np.asarray(rebuilt).tobytes() == np.asarray(table).tobytes(), name
 
 
 @pytest.mark.parametrize("name", ["fft", "ifft"])
