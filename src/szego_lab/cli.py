@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral_core import SpectralGrid, sobolev_norm
+from .spectral_core import HardyField, SpectralGrid, sobolev_norm
 from .operators import (
     constant_potential,
     gaussian_potential,
@@ -299,18 +299,149 @@ def cmd_effective(cfg: dict, outdir: str, with_plots: bool) -> int:
     return 0
 
 
-def _run_tracked(cfg: dict):
+def _end_with_parent(parent: int) -> None:
+    """First act of a forked child (_fork): Linux kills it when the
+    process that forked it ends, however that ends, so a killed CLI
+    leaves no sweep worker or consumer running.  Elsewhere this does
+    nothing."""
+    import ctypes
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl(1, signal.SIGKILL)   # PR_SET_PDEATHSIG
+    if os.getppid() != parent:     # it ended before prctl took effect
+        os._exit(1)
+
+
+def _fork(work, *fds) -> int:
+    """Fork a child of this single-threaded process, which closes fds,
+    runs work() and exits with the status it returns; returns its pid.
+    The child starts with this process's module attributes."""
+    parent = os.getpid()
+    pid = os.fork()
+    if pid == 0:                   # the child never returns from here
+        try:
+            _end_with_parent(parent)
+            for fd in fds:
+                os.close(fd)
+            os._exit(work())
+        finally:                   # any other way out: an error escaped
+            os._exit(1)
+    return pid
+
+
+def _ended(code: int) -> str:
+    """How a child with exit code `code` (os.waitstatus_to_exitcode) ended."""
+    return (f"was killed by signal {-code} ({signal.strsignal(-code)})"
+            if code < 0 else f"exited with status {code}")
+
+
+def _spare_cpu() -> bool:
+    """Whether track decomposes its samples in a forked consumer: this
+    process can fork and may run on more than one CPU."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") \
+        else range(os.cpu_count() or 1)
+    return hasattr(os, "fork") and len(cpus) > 1
+
+
+def _send_sample(fd: int, f) -> None:
+    """A sample's n/2 bins to the consumer's pipe fd, as raw bytes."""
+    view = memoryview(f.spectrum).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _consume(spec: RunSpec, fd_in: int, fd_out: int) -> int:
+    """The forked consumer: Tracker.add of each sample read from fd_in
+    (_send_sample) into one reused buffer, at spec's sample times, the
+    ones evolve_pde takes the samples at, until the run ends and the pipe
+    closes; then the Tracker, or the exception add raised, pickled to
+    fd_out.  A failed add closes fd_in at once, so the CLI's next sample
+    write fails."""
+    tracker = Tracker(spec.grid, spec.g0)
+    bins = np.empty(spec.grid.n_points // 2, dtype=complex)
+    u = HardyField(spec.grid, _spectrum=bins)
+    result = tracker
+    with open(fd_in, "rb") as pipe:
+        for t in spec.times:
+            if pipe.readinto(bins) < bins.nbytes:    # the PDE stopped
+                break
+            try:
+                tracker.add(float(t), u)
+            except Exception as exc:   # the CLI raises it once the PDE stops
+                result = exc
+                break
+    with open(fd_out, "wb") as out:
+        pickle.dump(result, out)
+    return 0
+
+
+def _decompose_in_consumer(spec: RunSpec, run_pde):
+    """run_pde(on_sample) while a forked consumer runs Tracker.add on each
+    sample (_consume); returns the PDE trajectory and the consumer's
+    Tracker.  Only a sample's bins cross the pipe, and a default pipe
+    holds 64 KiB, the bins of one sample at n = 8192: there the PDE
+    writes a sample without waiting whenever the consumer has read the
+    one before, and stops within a sample or two of a failed
+    decomposition.  The consumer's exception is raised in place of
+    whatever else stopped the PDE, since it came from an earlier sample;
+    a consumer that sent no result is named by its signal or exit
+    status.  The consumer is reaped however this returns."""
+    samples_r, samples_w = os.pipe()
+    result_r, result_w = os.pipe()
+    pid = _fork(lambda: _consume(spec, samples_r, result_w), samples_w, result_r)
+    os.close(samples_r)
+    os.close(result_w)
+    traj = stopped = result = code = None
+    try:
+        with open(result_r, "rb") as back:
+            try:
+                traj = run_pde(lambda t, f: _send_sample(samples_w, f))
+            except BrokenPipeError:    # the consumer stopped reading
+                pass
+            except Exception as exc:   # raised below, after the consumer's
+                stopped = exc
+            finally:               # the end of the samples
+                os.close(samples_w)
+            try:
+                result = pickle.load(back)
+            except (EOFError, pickle.UnpicklingError):   # none, or cut short
+                pass
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    finally:
+        if code is None:           # interrupted: the consumer's work is moot
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if isinstance(result, Exception):
+        raise result
+    if stopped is not None:
+        raise stopped
+    if result is None or traj is None:
+        raise RuntimeError(f"decomposition consumer {pid} {_ended(code)} "
+                           "before it sent the whole run's decompositions")
+    return traj, result
+
+
+def _run_tracked(cfg: dict, consumer: bool = False):
     """The tracked run of track, sweep and the acceptance gate: the
     effective run at the sample times, then one PDE pass that streams
-    each sample into the decomposition, so no sample is kept.  Returns
-    the report, the metrics.json values and the PDE trajectory, whose
-    drifts include the momentum's."""
+    each sample into the decomposition, so no sample is kept; with
+    `consumer`, the decomposition runs in a forked consumer process
+    (_decompose_in_consumer), with the same results.  Returns the report, the
+    metrics.json values and the PDE trajectory, whose drifts include the
+    momentum's."""
     spec = run_spec(cfg)
     eff = _effective_run(spec)
-    tracker = Tracker(spec.grid, spec.g0)
-    traj = evolve_pde(soliton_profile(spec.g0, spec.grid), spec.potential,
-                      spec.eps, float(spec.times[-1]), spec.dt, spec.stride,
-                      on_sample=tracker.add)
+
+    def run_pde(on_sample):
+        return evolve_pde(soliton_profile(spec.g0, spec.grid), spec.potential,
+                          spec.eps, float(spec.times[-1]), spec.dt,
+                          spec.stride, on_sample=on_sample)
+
+    if consumer:
+        traj, tracker = _decompose_in_consumer(spec, run_pde)
+    else:
+        tracker = Tracker(spec.grid, spec.g0)
+        traj = run_pde(tracker.add)
     report = tracker.report(spec.potential, spec.eps, eff)
     metrics = theorem_metrics(report, spec.eps, spec.delta)
     metrics["mass_drift"] = traj.mass_drift
@@ -338,7 +469,7 @@ def _emit_tracked(report, metrics, outdir: str, with_plots: bool) -> None:
 
 
 def cmd_track(cfg: dict, outdir: str, with_plots: bool) -> int:
-    report, metrics, _ = _run_tracked(cfg)
+    report, metrics, _ = _run_tracked(cfg, consumer=_spare_cpu())
     _emit_tracked(report, metrics, outdir, with_plots)
     print(f"track: {report.times.size} samples -> {outdir}/track.csv  "
           f"(sup |w|_H12 {metrics['sup_w_h12']:.3e}, "
@@ -359,18 +490,6 @@ def _tracked_or_error(cfg: dict):
         return _run_tracked(cfg)
     except Exception as exc:   # reported per member by the caller
         return exc
-
-
-def _end_with_parent(parent: int) -> None:
-    """First act of a forked worker: Linux kills it when the process
-    that forked it ends, however that ends, so a killed sweep leaves no
-    worker running its members.  Elsewhere this does nothing."""
-    import ctypes
-    prctl = getattr(ctypes.CDLL(None), "prctl", None)
-    if prctl is not None:
-        prctl(1, signal.SIGKILL)   # PR_SET_PDEATHSIG
-    if os.getppid() != parent:     # it ended before prctl took effect
-        os._exit(1)
 
 
 def _send_members(cfgs: list, own: range, fd: int) -> int:
@@ -409,18 +528,11 @@ def _map_tracked(cfgs: list, parallel: int) -> list:
     this process's members are done.  A member that never arrives gets
     an error naming the worker's exit status or signal."""
     k = min(parallel, len(cfgs))
-    parent, workers = os.getpid(), []
+    workers = []
     for j in range(1, k):
         own = range(j, len(cfgs), k)
         r, w = os.pipe()
-        pid = os.fork()
-        if pid == 0:               # the worker never returns from here
-            try:
-                os.close(r)
-                _end_with_parent(parent)
-                os._exit(_send_members(cfgs, own, w))
-            finally:               # any other way out: an error escaped
-                os._exit(1)
+        pid = _fork(lambda: _send_members(cfgs, own, w), r)
         os.close(w)
         workers.append((pid, r, own))
     out = [None] * len(cfgs)
@@ -434,9 +546,7 @@ def _map_tracked(cfgs: list, parallel: int) -> list:
                 except (EOFError, pickle.UnpicklingError):   # end, or cut short
                     break
                 out[i] = res
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        how = (f"was killed by signal {-code} ({signal.strsignal(-code)})"
-               if code < 0 else f"exited with status {code}")
+        how = _ended(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
         for i in own:
             if out[i] is None:
                 out[i] = RuntimeError(f"worker {pid} {how} before it sent member {i}")

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from szego_lab import cli, plots
+from szego_lab import cli, dynamics, plots
 from szego_lab.cli import (
     _run_tracked,
     build_g0,
@@ -28,7 +28,12 @@ from szego_lab.cli import (
     validate_config,
 )
 from szego_lab.decomposition import TrackReport, theorem_metrics, track
-from szego_lab.dynamics import EffectiveState, evolve_effective, evolve_pde
+from szego_lab.dynamics import (
+    DivergenceError,
+    EffectiveState,
+    evolve_effective,
+    evolve_pde,
+)
 from szego_lab.soliton_manifold import soliton_profile
 
 
@@ -649,18 +654,16 @@ def test_sweep_in_one_process_forks_nothing(tmp_path, monkeypatch):
                  "--parallel", "1"]) == 0
 
 
-@pytest.mark.skipif(not Path(f"/proc/self/task/{os.getpid()}/children").exists(),
-                    reason="reads the process tree from Linux /proc")
-def test_sweep_worker_ends_with_a_killed_cli(tmp_path):
-    # a worker runs its 30-unit member while the CLI runs its own; if the
-    # CLI is killed meanwhile, the worker must end with it, not run on
-    cfg = tiny_config(eps_list=[4e-2, 2e-2, 1e-2],
-                      t_final={"policy": "fixed", "value": 30.0})
+_PROC_CHILDREN = pytest.mark.skipif(
+    not Path(f"/proc/self/task/{os.getpid()}/children").exists(),
+    reason="reads the process tree from Linux /proc")
+
+
+def assert_child_ends_with_a_killed_cli(tmp_path, argv):
+    # once the CLI has forked, kill it: its child must end with it, not run on
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.Popen(
-        [sys.executable, "-m", "szego_lab.cli", "sweep", "--config",
-         write_config(tmp_path, cfg), "--out", str(tmp_path / "s"),
-         "--parallel", "2"],
+        [sys.executable, "-m", "szego_lab.cli", *argv],
         env=dict(os.environ, PYTHONPATH=src), stdin=subprocess.DEVNULL,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
@@ -669,14 +672,14 @@ def test_sweep_worker_ends_with_a_killed_cli(tmp_path):
         while not children.read_text().split():
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.05)
-        worker = int(children.read_text().split()[0])
+        child = int(children.read_text().split()[0])
     finally:
         proc.kill()
         proc.wait()
 
     def alive():
         try:   # a zombie has ended, whether or not it was reaped
-            stat = Path(f"/proc/{worker}/stat").read_text()
+            stat = Path(f"/proc/{child}/stat").read_text()
         except FileNotFoundError:
             return False
         return stat.rsplit(")", 1)[1].split()[0] != "Z"
@@ -684,11 +687,139 @@ def test_sweep_worker_ends_with_a_killed_cli(tmp_path):
     try:
         while alive():
             assert time.monotonic() < deadline + 10, \
-                f"worker {worker} outlived the CLI"
+                f"child {child} outlived the CLI"
             time.sleep(0.05)
     finally:
         if alive():
-            os.kill(worker, signal.SIGKILL)
+            os.kill(child, signal.SIGKILL)
+
+
+@_PROC_CHILDREN
+def test_sweep_worker_ends_with_a_killed_cli(tmp_path):
+    # a worker runs its 30-unit member while the CLI runs its own
+    cfg = tiny_config(eps_list=[4e-2, 2e-2, 1e-2],
+                      t_final={"policy": "fixed", "value": 30.0})
+    assert_child_ends_with_a_killed_cli(
+        tmp_path, ["sweep", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "s"), "--parallel", "2"])
+
+
+# ------------------------------------------- track's decomposition consumer
+
+
+@pytest.mark.parametrize("stride, rows", [(1, 101), (7, 16)])
+def test_track_writes_the_same_with_and_without_the_consumer(tmp_path, monkeypatch,
+                                                              forks, stride, rows):
+    # the consumer takes the sample times from the run spec; at stride 7
+    # the last of the 100 steps is a sample off the stride
+    path = write_config(tmp_path, tiny_config(
+        stride=stride, t_final={"policy": "fixed", "value": 0.1}))
+    outs = {}
+    for consumer in (True, False):
+        monkeypatch.setattr(cli, "_spare_cpu", lambda: consumer)
+        outs[consumer] = tmp_path / str(consumer)
+        assert main(["track", "--config", path, "--out", str(outs[consumer])]) == 0
+    for name in ("track.csv", "metrics.json"):
+        assert (outs[True] / name).read_bytes() == (outs[False] / name).read_bytes()
+    assert len((outs[True] / "track.csv").read_text().splitlines()) == rows + 1
+    assert_reaped(forks, 1)
+
+
+def _transit_config(tmp_path, value):
+    # n = 8192, so a sample is about as large as a default pipe
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                      / "transit.json").read_text())
+    cfg.update(stride=1, t_final={"policy": "fixed", "value": value})
+    return write_config(tmp_path, cfg)
+
+
+class _FailsAtSample(cli.Tracker):
+    K = 10
+
+    def add(self, t, u):
+        if len(self.rows) == self.K:
+            raise cli.TubularNeighborhoodError(f"t = {t:.6g}: injected")
+        super().add(t, u)
+
+
+@pytest.mark.parametrize("diverge", [False, True])
+def test_a_failed_decomposition_stops_the_consumer_run(tmp_path, capsys,
+                                                       monkeypatch, forks,
+                                                       diverge):
+    # the consumer fails at sample K of 101: the CLI reports what the
+    # inline run reports, having made at most samples 0 .. K + 2, also
+    # when the PDE itself fails at sample K + 1, after the consumer's error
+    made, real = [], dynamics.from_bins
+
+    def counted(*args):
+        made.append(1)
+        if diverge and len(made) == _FailsAtSample.K + 2:
+            raise DivergenceError("injected after the decomposition failed")
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "from_bins", counted)
+    monkeypatch.setattr(cli, "Tracker", _FailsAtSample)
+    path, errs = _transit_config(tmp_path, 0.05), {}
+    for consumer in (False, True):
+        monkeypatch.setattr(cli, "_spare_cpu", lambda: consumer)
+        made.clear()
+        assert main(["track", "--config", path,
+                     "--out", str(tmp_path / str(consumer))]) == 1
+        errs[consumer] = capsys.readouterr().err
+        assert len(made) <= _FailsAtSample.K + 3, (consumer, len(made))
+    assert errs[True] == errs[False]
+    assert errs[True] == ("runtime error: decomposition left the tubular "
+                          "neighborhood (t = 0.005: injected)\n")
+    assert_reaped(forks, 1)
+
+
+def test_track_names_a_consumer_killed_by_a_signal(tmp_path, capsys,
+                                                   monkeypatch, forks):
+    # the consumer kills itself at sample 3
+    cli_pid = os.getpid()
+
+    class DiesAtSample(cli.Tracker):
+        def add(self, t, u):
+            if len(self.rows) == 3 and os.getpid() != cli_pid:
+                os.kill(os.getpid(), signal.SIGKILL)
+            super().add(t, u)
+
+    monkeypatch.setattr(cli, "Tracker", DiesAtSample)
+    monkeypatch.setattr(cli, "_spare_cpu", lambda: True)
+    assert main(["track", "--config", _transit_config(tmp_path, 0.05),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: decomposition consumer ")
+    assert f"was killed by signal {int(signal.SIGKILL)} " in err
+    assert not (tmp_path / "o" / "track.csv").exists()
+    assert_reaped(forks, 1)
+
+
+def test_an_interrupted_consumer_run_reaps_the_consumer(tmp_path, monkeypatch,
+                                                        forks):
+    made, real = [], dynamics.from_bins
+
+    def interrupt_at_5(*args):
+        made.append(1)
+        if len(made) == 5:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "from_bins", interrupt_at_5)
+    monkeypatch.setattr(cli, "_spare_cpu", lambda: True)
+    with pytest.raises(KeyboardInterrupt):
+        main(["track", "--config", _transit_config(tmp_path, 0.05),
+              "--out", str(tmp_path / "o")])
+    assert_reaped(forks, 1)
+
+
+@_PROC_CHILDREN
+@pytest.mark.skipif(not cli._spare_cpu(), reason="track forks no consumer here")
+def test_track_consumer_ends_with_a_killed_cli(tmp_path):
+    cfg = tiny_config(t_final={"policy": "fixed", "value": 30.0})
+    assert_child_ends_with_a_killed_cli(
+        tmp_path, ["track", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "t")])
 
 
 # ------------------------------------------------------------ streamed runs

@@ -171,6 +171,28 @@ def test_closed_form_pairing_sums_only_the_potential_support(grid):
     assert co.as_array().tolist() == [0.0, 0.0, 0.0]
 
 
+_TAILS = np.linspace(-8.0, 8.0, 33)
+
+
+@pytest.mark.parametrize("b", [GAUSS, table_potential(_TAILS, np.exp(-_TAILS**2))],
+                         ids=["transit_gauss", "table"])
+def test_support_sums_floor_moves_them_by_rounding_only(grid, b, monkeypatch):
+    # points where |b| is under 1e-17 of its peak are left out; the sums
+    # over the kept span against those over the whole nonzero span, along
+    # the transit's path and across the mu window
+    bv = b.on_grid(grid)
+    kept = np.abs(bv) > dynamics.B_FLOOR * np.abs(bv).max()
+    assert 0 < np.count_nonzero(kept) < np.count_nonzero(bv)
+    for a in (-3.0, -1.0, 0.0, 1.0, 6.0, 12.0):
+        for mu in (1.5, 3.0, 4.5):
+            got = dynamics._support_sums(a, mu, bv, grid)
+            with monkeypatch.context() as m:
+                m.setattr(dynamics, "B_FLOOR", 0.0)
+                want = dynamics._support_sums(a, mu, bv, grid)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-14 * abs(w), (a, mu)
+
+
 # --------------------------------------------------------------- the full PDE
 
 
