@@ -11,6 +11,7 @@ formatting so an identical config gives byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -108,6 +109,9 @@ def validate_config(cfg: dict, need_sweep: bool = False) -> list:
             and len(xs) == len(vs) and len(xs) >= 4 and all(map(_real, xs + vs))
         _check(e, "potential.x/values", ok,
                "need two equal-length lists of at least 4 finite numbers")
+        if ok:
+            _check(e, "potential.x/values", all(a < b for a, b in zip(xs, xs[1:])),
+                   "x must be strictly increasing")
     # a sweep member's eps comes from eps_list, checked below
     eps = cfg.get("eps")
     _check(e, "eps", need_sweep or (_real(eps) and eps >= 0),
@@ -312,27 +316,81 @@ def _end_with_parent(parent: int) -> None:
         os._exit(1)
 
 
-def _fork(work, *fds) -> int:
-    """Fork a child of this single-threaded process, which closes fds,
-    runs work() and exits with the status it returns; returns its pid.
-    The child starts with this process's module attributes."""
+def _write_all(fd: int, data) -> None:
+    """Every byte of the buffer data to fd, waiting while the pipe is full."""
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+@contextlib.contextmanager
+def _reaping():
+    """A list for _fork's children, which _read takes off in turn.  The
+    children still on it when the block is left, by an error or an
+    interrupt, are killed, their pipes closed, and reaped (_read)."""
+    children = []
+    try:
+        yield children
+    finally:
+        for pid, pipe in children:
+            os.kill(pid, signal.SIGKILL)
+            pipe.close()
+        while children:
+            _read(children)
+
+
+def _fork(children: list, work, *fds) -> None:
+    """Fork a child of this single-threaded process and put (pid, the read
+    end of its result pipe) on children.  The child closes fds and the pipes
+    of the children before it, pickles each object the iterable work yields
+    into its pipe once made, and exits, with status 1 if an object could not
+    be pickled (it is not sent).  No write waits on the reader before the
+    last object: what the pipe cannot take yet is held back until then.  The
+    child starts with this process's module attributes."""
     parent = os.getpid()
+    r, w = os.pipe()
     pid = os.fork()
     if pid == 0:                   # the child never returns from here
         try:
             _end_with_parent(parent)
-            for fd in fds:
+            for fd in (r, *fds, *(pipe.fileno() for _, pipe in children)):
                 os.close(fd)
-            os._exit(work())
+            status, pending = 0, bytearray()
+            os.set_blocking(w, False)
+            for obj in work:
+                try:
+                    pending += pickle.dumps(obj)
+                except Exception:  # whatever pickle raised, it is not sent
+                    status = 1
+                try:
+                    del pending[:os.write(w, pending)]
+                except BlockingIOError:   # the reader is still on other work
+                    pass
+            os.set_blocking(w, True)
+            _write_all(w, pending)
+            os._exit(status)
         finally:                   # any other way out: an error escaped
             os._exit(1)
-    return pid
+    os.close(w)
+    children.append((pid, open(r, "rb")))
 
 
-def _ended(code: int) -> str:
-    """How a child with exit code `code` (os.waitstatus_to_exitcode) ended."""
-    return (f"was killed by signal {-code} ({signal.strsignal(-code)})"
-            if code < 0 else f"exited with status {code}")
+def _read(children: list) -> tuple:
+    """The objects the first child on children (_fork) sent, read from
+    its pipe to the end, and how it ended: its pid, then its exit status
+    or signal.  Reaps the child, closes its pipe and takes it off."""
+    pid, pipe = children[0]
+    sent = []
+    try:
+        while True:
+            sent.append(pickle.load(pipe))
+    except (EOFError, pickle.UnpicklingError, ValueError):   # cut short or closed
+        pass
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    del children[0]
+    pipe.close()
+    return sent, (f"{pid} was killed by signal {-code} ({signal.strsignal(-code)})"
+                  if code < 0 else f"{pid} exited with status {code}")
 
 
 def _spare_cpu() -> bool:
@@ -343,25 +401,17 @@ def _spare_cpu() -> bool:
     return hasattr(os, "fork") and len(cpus) > 1
 
 
-def _send_sample(fd: int, f) -> None:
-    """A sample's n/2 bins to the consumer's pipe fd, as raw bytes."""
-    view = memoryview(f.spectrum).cast("B")
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _consume(spec: RunSpec, fd_in: int, fd_out: int) -> int:
-    """The forked consumer: Tracker.add of each sample read from fd_in
-    (_send_sample) into one reused buffer, at spec's sample times, the
-    ones evolve_pde takes the samples at, until the run ends and the pipe
-    closes; then the Tracker, or the exception add raised, pickled to
-    fd_out.  A failed add closes fd_in at once, so the CLI's next sample
-    write fails."""
+def _consume(spec: RunSpec, fd: int):
+    """The forked consumer's work: Tracker.add of each sample read from
+    the pipe fd into one reused buffer, at spec's sample times, the ones
+    evolve_pde takes the samples at, until the run ends and the pipe
+    closes; then it yields the Tracker, or the exception add raised.  A
+    failed add closes fd at once, so the CLI's next sample write fails."""
     tracker = Tracker(spec.grid, spec.g0)
     bins = np.empty(spec.grid.n_points // 2, dtype=complex)
     u = HardyField(spec.grid, _spectrum=bins)
     result = tracker
-    with open(fd_in, "rb") as pipe:
+    with open(fd, "rb") as pipe:
         for t in spec.times:
             if pipe.readinto(bins) < bins.nbytes:    # the PDE stopped
                 break
@@ -370,55 +420,41 @@ def _consume(spec: RunSpec, fd_in: int, fd_out: int) -> int:
             except Exception as exc:   # the CLI raises it once the PDE stops
                 result = exc
                 break
-    with open(fd_out, "wb") as out:
-        pickle.dump(result, out)
-    return 0
+    yield result
 
 
 def _decompose_in_consumer(spec: RunSpec, run_pde):
     """run_pde(on_sample) while a forked consumer runs Tracker.add on each
     sample (_consume); returns the PDE trajectory and the consumer's
-    Tracker.  Only a sample's bins cross the pipe, and a default pipe
-    holds 64 KiB, the bins of one sample at n = 8192: there the PDE
-    writes a sample without waiting whenever the consumer has read the
-    one before, and stops within a sample or two of a failed
+    Tracker.  Only a sample's bins cross the pipe, as raw bytes, and a
+    default pipe holds 64 KiB, the bins of one sample at n = 8192: there
+    the PDE writes a sample without waiting whenever the consumer has
+    read the one before, and stops within a sample or two of a failed
     decomposition.  The consumer's exception is raised in place of
     whatever else stopped the PDE, since it came from an earlier sample;
-    a consumer that sent no result is named by its signal or exit
-    status.  The consumer is reaped however this returns."""
+    a consumer that sent nothing is named by its signal or exit status."""
     samples_r, samples_w = os.pipe()
-    result_r, result_w = os.pipe()
-    pid = _fork(lambda: _consume(spec, samples_r, result_w), samples_w, result_r)
-    os.close(samples_r)
-    os.close(result_w)
-    traj = stopped = result = code = None
-    try:
-        with open(result_r, "rb") as back:
-            try:
-                traj = run_pde(lambda t, f: _send_sample(samples_w, f))
-            except BrokenPipeError:    # the consumer stopped reading
-                pass
-            except Exception as exc:   # raised below, after the consumer's
-                stopped = exc
-            finally:               # the end of the samples
-                os.close(samples_w)
-            try:
-                result = pickle.load(back)
-            except (EOFError, pickle.UnpicklingError):   # none, or cut short
-                pass
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    finally:
-        if code is None:           # interrupted: the consumer's work is moot
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    if isinstance(result, Exception):
-        raise result
+    with _reaping() as children:
+        _fork(children, _consume(spec, samples_r), samples_w)
+        os.close(samples_r)
+        traj = stopped = None
+        try:
+            traj = run_pde(lambda t, f: _write_all(samples_w, f.spectrum))
+        except BrokenPipeError:    # the consumer stopped reading
+            pass
+        except Exception as exc:   # raised below, after the consumer's
+            stopped = exc
+        finally:                   # the end of the samples
+            os.close(samples_w)
+        sent, how = _read(children)
+    if sent and isinstance(sent[0], Exception):
+        raise sent[0]
     if stopped is not None:
         raise stopped
-    if result is None or traj is None:
-        raise RuntimeError(f"decomposition consumer {pid} {_ended(code)} "
+    if not sent or traj is None:
+        raise RuntimeError(f"decomposition consumer {how} "
                            "before it sent the whole run's decompositions")
-    return traj, result
+    return traj, sent[0]
 
 
 def _run_tracked(cfg: dict, consumer: bool = False):
@@ -492,64 +528,31 @@ def _tracked_or_error(cfg: dict):
         return exc
 
 
-def _send_members(cfgs: list, own: range, fd: int) -> int:
-    """A forked worker's members `own`, each pickled as (index, result)
-    to the pipe fd once done.  No write waits on the reader before the
-    last member: what the pipe cannot take yet is held back until then.
-    Returns the exit status, 1 if a result could not be pickled (that
-    member is not sent)."""
-    status, pending = 0, b""
-    os.set_blocking(fd, False)
-    for i in own:
-        res = _tracked_or_error(cfgs[i])
-        try:
-            pending += pickle.dumps((i, res))
-        except Exception:          # whatever pickle raised, it is not sent
-            status = 1
-        try:
-            pending = pending[os.write(fd, pending):]
-        except BlockingIOError:    # the parent is still on its own members
-            pass
-    os.set_blocking(fd, True)
-    while pending:
-        pending = pending[os.write(fd, pending):]
-    return status
-
-
 def _map_tracked(cfgs: list, parallel: int) -> list:
     """_run_tracked of each config, or the exception that run raised,
     `parallel` configs at a time.  With k = min(parallel, len(cfgs)),
     this process runs configs 0, k, 2k, ... and worker j of k - 1 runs
     configs j, j + k, ...; at k = 1 nothing is forked.  In separate
     processes the members' short ufuncs and Python glue do not contend
-    for one GIL.  A worker is a bare os.fork of this single-threaded
-    process, so it starts with this process's module attributes; it
-    reports through its own pipe (_send_members), read to its end once
-    this process's members are done.  A member that never arrives gets
-    an error naming the worker's exit status or signal."""
+    for one GIL.  A worker (_fork) sends each member's (index, result)
+    once done; its pipe is read to the end once this process's members
+    are done.  A member that never arrives gets an error naming the
+    worker's exit status or signal."""
     k = min(parallel, len(cfgs))
-    workers = []
-    for j in range(1, k):
-        own = range(j, len(cfgs), k)
-        r, w = os.pipe()
-        pid = _fork(lambda: _send_members(cfgs, own, w), r)
-        os.close(w)
-        workers.append((pid, r, own))
     out = [None] * len(cfgs)
-    for i in range(0, len(cfgs), k):
-        out[i] = _tracked_or_error(cfgs[i])
-    for pid, r, own in workers:
-        with os.fdopen(r, "rb") as pipe:
-            while True:
-                try:
-                    i, res = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):   # end, or cut short
-                    break
+    with _reaping() as children:
+        for j in range(1, k):
+            own = range(j, len(cfgs), k)
+            _fork(children, ((i, _tracked_or_error(cfgs[i])) for i in own))
+        for i in range(0, len(cfgs), k):
+            out[i] = _tracked_or_error(cfgs[i])
+        for j in range(1, k):      # worker j, the first child left
+            sent, how = _read(children)
+            for i, res in sent:
                 out[i] = res
-        how = _ended(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-        for i in own:
-            if out[i] is None:
-                out[i] = RuntimeError(f"worker {pid} {how} before it sent member {i}")
+            for i in range(j, len(cfgs), k):
+                if out[i] is None:
+                    out[i] = RuntimeError(f"worker {how} before it sent member {i}")
     return out
 
 

@@ -10,7 +10,6 @@ L -- act pointwise on grid values followed by a single Hardy projection.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,9 +48,9 @@ class PotentialSpec:
     """Real bounded potential b with integrable derivative.
 
     support_hint is the interval outside which b' is negligible; the
-    coefficient quadratures center their windows on it.  sup_b, l1_db
-    and l2_db are the norms appearing in the perturbative bounds,
-    precomputed on a dense window at construction.
+    coefficient quadratures center their windows on it.  sup_b and l1_db
+    are the norms appearing in the perturbative bounds, precomputed on a
+    dense window at construction.
     """
 
     eval_b: callable
@@ -60,7 +59,6 @@ class PotentialSpec:
     label: str = "potential"
     sup_b: float = field(default=None, repr=False)
     l1_db: float = field(default=None, repr=False)
-    l2_db: float = field(default=None, repr=False)
 
     def __post_init__(self):
         lo, hi = self.support_hint if self.support_hint else (-20.0, 20.0)
@@ -85,8 +83,6 @@ class PotentialSpec:
             object.__setattr__(self, "sup_b", float(np.max(bs)))
         if self.l1_db is None:
             object.__setattr__(self, "l1_db", float(np.sum(dbs) * dy))
-        if self.l2_db is None:
-            object.__setattr__(self, "l2_db", float(math.sqrt(np.sum(dbs**2) * dy)))
         object.__setattr__(self, "_grid_cache", {})
 
     def on_grid(self, grid: SpectralGrid) -> np.ndarray:

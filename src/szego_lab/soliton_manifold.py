@@ -66,8 +66,7 @@ class GroupElement:
     """Point of the symmetry group (translation, amplitude, phase, scale).
 
     The phase is stored as a raw real so that trajectories of group
-    elements stay continuous; phi_principal gives the representative in
-    [0, 2 pi) when only the group point matters.
+    elements stay continuous.
     """
 
     a: float
@@ -80,10 +79,6 @@ class GroupElement:
             raise ValueError("alpha must be positive")
         if not (MU_MIN <= self.mu <= MU_MAX):
             raise ValueError(f"mu must lie in [{MU_MIN}, {MU_MAX}]")
-
-    @property
-    def phi_principal(self) -> float:
-        return self.phi % (2 * math.pi)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.a, self.alpha, self.phi, self.mu], dtype=float)

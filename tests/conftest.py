@@ -69,3 +69,35 @@ def no_child_left():
         left += [pid] if pid else running
     if left:
         pytest.fail(f"the test left child process(es) {left} unreaped")
+
+
+def _open_pipes() -> set:
+    """(fd, "pipe:[inode]") of each pipe this process holds open, from
+    Linux /proc (none where it does not list them)."""
+    pipes = set()
+    for fd in os.listdir("/proc/self/fd") if Path("/proc/self/fd").is_dir() else ():
+        try:
+            link = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:             # the listing's own fd, closed again
+            continue
+        if link.startswith("pipe:"):
+            pipes.add((int(fd), link))
+    return pipes
+
+
+@pytest.fixture()
+def open_pipes():
+    """The pipes this process holds open now, as a function (_open_pipes)."""
+    return _open_pipes
+
+
+@pytest.fixture(autouse=True)
+def no_pipe_left():
+    """Fail a test that leaves a pipe fd open: every pipe a run command
+    makes to or from a child is closed before the command returns.  Does
+    nothing where /proc is absent."""
+    before = _open_pipes()
+    yield
+    left = _open_pipes() - before
+    if left:
+        pytest.fail(f"the test left pipe fd(s) {sorted(left)} open")

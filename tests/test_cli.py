@@ -327,8 +327,11 @@ _SOLITON = {"a0": -3.0, "alpha0": 1.0, "phi0": 0.0, "mu0": 3.0}
     ("potential", {"potential": "gaussian"}),
     ("potential.x/values", {"potential": {"kind": "table", "x": [-2, -1, 1, 2],
                                           "values": [0, 1, "1", 0]}}),
+    ("potential.x/values", {"potential": {"kind": "table", "x": [-2, 1, 0, 2],
+                                          "values": [0, 1, 1, 0]}}),
 ], ids=["bool_eps", "bool_stride", "bool_L", "nan_a0", "inf_L", "inf_t_final", "huge_t_final",
-        "grid_number", "soliton_list", "potential_string", "table_string"])
+        "grid_number", "soliton_list", "potential_string", "table_string",
+        "table_x_unordered"])
 def test_main_rejects_malformed_numbers_and_sections(tmp_path, capsys, path,
                                                      overrides):
     # JSON's true, NaN and Infinity are not finite real numbers, and a
@@ -632,6 +635,45 @@ def test_a_worker_does_not_wait_for_the_parent_to_read(monkeypatch, forks):
     assert out[:3] == [0, bytes(1 << 20), 2]
     assert out[3] < 1.0, "the worker's second member waited for the parent"
     assert_reaped(forks, 1)
+
+
+def test_a_worker_killed_at_its_second_member_delivers_its_first(monkeypatch,
+                                                                 forks):
+    # at --parallel 2 the worker runs members 1 and 3 and kills itself at
+    # member 3: member 1, already sent, arrives, and member 3 fails alone
+    def run(cfg):
+        if cfg["i"] == 3:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return cfg["i"]
+
+    monkeypatch.setattr(cli, "_run_tracked", run)
+    out = cli._map_tracked([{"i": i} for i in range(4)], 2)
+    assert out[:3] == [0, 1, 2]
+    assert isinstance(out[3], RuntimeError)
+    assert f"was killed by signal {int(signal.SIGKILL)} " in str(out[3])
+    assert_reaped(forks, 1)
+
+
+def test_an_interrupted_sweep_reaps_its_workers(tmp_path, monkeypatch, forks,
+                                                open_pipes):
+    # at --parallel 2 this process's own member is interrupted while the
+    # worker still runs its member: the worker is killed and reaped, and
+    # its pipe closed, before the interrupt leaves the sweep
+    cli_pid = os.getpid()
+
+    def run(cfg):
+        if os.getpid() == cli_pid:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(cli, "_run_tracked", run)
+    path = write_config(tmp_path, tiny_config(eps_list=[4e-2, 2e-2, 1e-2]))
+    before = open_pipes()
+    with pytest.raises(KeyboardInterrupt):
+        main(["sweep", "--config", path, "--out", str(tmp_path / "s"),
+              "--parallel", "2"])
+    assert_reaped(forks, 1)
+    assert open_pipes() == before
 
 
 def test_member_result_pickles_without_the_grid_tables():
