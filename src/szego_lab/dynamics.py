@@ -17,9 +17,9 @@ right-hand-side kernel, forms each pointwise product on the (2, n/2)
 rows of its even and odd samples and projects it, each a batched
 transform through spectral_core's half-length layout (hardy_rows,
 project_rows).  A PDE sample is one pass over what the step holds: the
-rows and |u|^2 that the next step starts from give the sample's field
-(from_bins, values built only if read) and its mass and H_b.  The
-pairing route needs no transform: by
+bins give the sample's field (from_bins, its spectrum alone, values
+built only if read), and the |u|^2 that the next step starts from
+gives its mass and H_b.  The pairing route needs no transform: by
 discrete Parseval its pairings are sums over the grid of b times the
 family profile and its xi-weighted companion, and the family's spectrum
 is geometric, so both are closed-form geometric sums evaluated on the
@@ -297,9 +297,9 @@ def evolve_pde(u0: HardyField, b: PotentialSpec = None, eps: float = 0.0,
     final step.  The kernel's factor -i rides on the stage weights, and
     the stages run in buffers allocated once per call.  Each step ends
     with the rows u and |u|^2 of the new state (_rows_abs2), which the
-    next step's first stage consumes and a sample reads: its field is
-    from_bins of the rows (no transform), its mass and
-    H_b = int |u|^4 / 4 + eps b |u|^2 / 2 are dx sums over |u|^2, and its
+    next step's first stage consumes.  A sample's field is from_bins of
+    the bins (no transform; its values are built only if read), its mass
+    and H_b = int |u|^4 / 4 + eps b |u|^2 / 2 are dx sums over |u|^2, and its
     momentum is the xi-weighted sum of |V|^2, whose factor dx^2 / L
     cancels in the relative drift; the sums are kept per sample and the
     drifts taken from them at return.  Each sample goes to
@@ -324,17 +324,17 @@ def evolve_pde(u0: HardyField, b: PotentialSpec = None, eps: float = 0.0,
     sq = np.empty_like(w)
     dx, xi = grid.dx, grid.xi_pos
 
-    def sample(k, u, w):
+    def sample(k, w):
         """Send the state after step k to on_sample; keep its time and sums."""
         i = -(-k // stride)
         times[i] = k * dt
-        on_sample(k * dt, from_bins(V, grid, u))
+        on_sample(k * dt, from_bins(V, grid))
         q = w.ravel()
         h = 0.25 * (q @ q) + (0.5 * (eb.ravel() @ q) if eb is not None else 0.0)
         sums[i] = dx * q.sum(), dx * h, xi @ (V.real ** 2 + V.imag ** 2)
 
     u, w = _rows_abs2(V, grid, z, w, sq)
-    sample(0, u, w)
+    sample(0, w)
     # (stage offset, weight) of k2..k4 with the kernel's -i folded in;
     # k1 has weight -i dt/6
     stages = ((-0.5j * dt, -1j * dt / 3.0), (-0.5j * dt, -1j * dt / 3.0),
@@ -357,7 +357,7 @@ def evolve_pde(u0: HardyField, b: PotentialSpec = None, eps: float = 0.0,
         if not np.isfinite(V.view(float)).all():
             raise DivergenceError(f"non-finite field at step {k} (t={k * dt:.6g})")
         if k % stride == 0 or k == n_steps:
-            sample(k, u, w)
+            sample(k, w)
     scale = (sums[0, 0], max(abs(sums[0, 1]), 1e-30), max(sums[0, 2], 1e-30))
     drifts = np.max(np.abs(sums - sums[0]) / scale, axis=0)
     return PdeTrajectory(grid, times, fields, *sums.T, *map(float, drifts), eps, dt)

@@ -48,8 +48,8 @@ class PotentialSpec:
     """Real bounded potential b with integrable derivative.
 
     support_hint is the interval outside which b' is negligible; the
-    coefficient quadratures center their windows on it.  sup_b and l1_db
-    are the norms appearing in the perturbative bounds, precomputed on a
+    coefficient quadratures center their windows on it.  l1_db is the
+    norm of b' appearing in the perturbative bounds, precomputed on a
     dense window at construction.
     """
 
@@ -57,7 +57,6 @@ class PotentialSpec:
     eval_db: callable
     support_hint: tuple = None
     label: str = "potential"
-    sup_b: float = field(default=None, repr=False)
     l1_db: float = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -75,14 +74,10 @@ class PotentialSpec:
         scale = max(1.0, float(np.max(np.abs(db))))
         if np.max(np.abs(fd - db)) > 1e-6 * scale:
             raise ValueError("eval_db is not the derivative of eval_b")
-        ys = np.linspace(lo, hi, 16384)
-        dy = ys[1] - ys[0]
-        dbs = np.abs(np.asarray(self.eval_db(ys), dtype=float))
-        if self.sup_b is None:
-            bs = np.abs(np.asarray(self.eval_b(ys), dtype=float))
-            object.__setattr__(self, "sup_b", float(np.max(bs)))
         if self.l1_db is None:
-            object.__setattr__(self, "l1_db", float(np.sum(dbs) * dy))
+            ys = np.linspace(lo, hi, 16384)
+            dbs = np.abs(np.asarray(self.eval_db(ys), dtype=float))
+            object.__setattr__(self, "l1_db", float(np.sum(dbs) * (ys[1] - ys[0])))
         object.__setattr__(self, "_grid_cache", {})
 
     def on_grid(self, grid: SpectralGrid) -> np.ndarray:
@@ -199,27 +194,6 @@ def hankel_rank(u: HardyField, tol: float = 1e-8, m: int = 256) -> OperatorDiagn
     return OperatorDiagnostics(defect, rank, sing)
 
 
-_ETA_CACHE = {}
-
-
-def _eta_pieces(grid: SpectralGrid):
-    """Grid values of the family ground state, |eta|^2, and eta^2.
-
-    eta^2 is synthesized from its own closed-form spectrum
-    -2 pi xi exp(-xi), the first generator spectrum at the identity,
-    rather than by squaring samples, keeping the Hankel symbol an exact
-    one-parameter family object.
-    """
-    key = (grid.n_points, grid.box_length)
-    cached = _ETA_CACHE.get(key)
-    if cached is None:
-        eta = soliton_profile(identity(), grid).values
-        eta_sq = from_spectrum(grid, generator_spectra(grid)[0])
-        cached = (eta, np.abs(eta) ** 2, eta_sq)
-        _ETA_CACHE[key] = cached
-    return cached
-
-
 def kernel_witness(h: HardyField) -> np.ndarray:
     """Grid samples of h times the squared inner factor ((x-i)/(x+i))^2.
 
@@ -237,9 +211,16 @@ def kernel_witness(h: HardyField) -> np.ndarray:
 
 def linearized_apply(w: HardyField) -> HardyField:
     """Second variation of the unperturbed energy at the ground soliton:
-    -(i/2) w' - 2 T_{|eta|^2} w - H_{eta^2} w + w/4."""
+    -(i/2) w' - 2 T_{|eta|^2} w - H_{eta^2} w + w/4.
+
+    eta^2 is synthesized from its own closed-form spectrum
+    -2 pi xi exp(-xi), the first generator spectrum at the identity,
+    rather than by squaring samples, keeping the Hankel symbol an exact
+    one-parameter family object.
+    """
     grid = w.grid
-    _, abs2, eta_sq = _eta_pieces(grid)
+    abs2 = np.abs(soliton_profile(identity(), grid).values) ** 2
+    eta_sq = from_spectrum(grid, generator_spectra(grid)[0])
     dw = from_spectrum(grid, 1j * grid.xi_pos * w.spectrum)
     vals = (-0.5j * dw - 2.0 * abs2 * w.values - eta_sq * np.conj(w.values)
             + 0.25 * w.values)

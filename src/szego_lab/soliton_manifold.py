@@ -196,7 +196,7 @@ def act(g: GroupElement, u: HardyField) -> HardyField:
     grid = u.grid
     out = (np.exp(1j * g.phi) * g.alpha * np.exp(-1j * grid.xi_pos * g.a)
            * _resample_spectrum(grid, u.spectrum, g.mu))
-    return HardyField(grid, from_spectrum(grid, out), _spectrum=out)
+    return HardyField(grid, _spectrum=out)
 
 
 def generator_spectra(grid: SpectralGrid, g: GroupElement = None) -> list:
@@ -226,17 +226,8 @@ def _omega_spec(grid, su, sv) -> float:
     return pair_spectra(grid, su, sv).imag
 
 
-_GRAM_CACHE = {}
-
-
 def frame_gram(grid: SpectralGrid, g: GroupElement = None) -> np.ndarray:
     """Symplectic Gram matrix omega(E_j, E_k) of the generator frame at g."""
-    if g is None:
-        g = identity()
-    key = (grid.n_points, grid.box_length, g)
-    cached = _GRAM_CACHE.get(key)
-    if cached is not None:
-        return cached
     E = generator_spectra(grid, g)
     G = np.zeros((4, 4))
     for j in range(4):
@@ -244,7 +235,6 @@ def frame_gram(grid: SpectralGrid, g: GroupElement = None) -> np.ndarray:
             v = _omega_spec(grid, E[j], E[k])
             G[j, k] = v
             G[k, j] = -v
-    _GRAM_CACHE[key] = G
     return G
 
 

@@ -6,12 +6,13 @@ coefficients vanish on strictly negative frequencies; the projector,
 norms, pairings and quadrature defined here are the primitives every
 other module consumes.
 
-The projector works on the half-length layout that the RK4 kernel in
+Every transform runs on the half-length layout that the RK4 kernel in
 dynamics shares: a Hardy field as its n/2 non-negative raw FFT bins and
 as the (2, n/2) rows of its even and odd samples, each one batched
 transform of the other by decimation in time (Cooley & Tukey, 1965).
-A field made on that layout (from_bins) keeps its rows and interleaves
-them into its n values only when they are first read.
+spectrum, from_spectrum and the projector are hardy_rows and
+project_rows with the continuum phases applied, so no transform has
+length n.
 
 Fourier convention: spectrum(u)[k] approximates
 u_hat(xi_k) = int exp(-i xi_k x) u(x) dx with xi_k = 2 pi k / L, so the
@@ -146,47 +147,29 @@ class SpectralGrid:
         return SpectralGrid, (self.n_points, self.box_length)
 
 
-def spectrum(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
-    """Continuum-normalized Fourier coefficients of grid samples on the
-    n/2 non-negative bins; any negative-frequency content is dropped."""
-    return fft(values)[:grid.n_points // 2] * grid._fwd_phase
-
-
-def from_spectrum(grid: SpectralGrid, spec: np.ndarray) -> np.ndarray:
-    """Grid samples of the Hardy field with the n/2 bins spec, the
-    inverse of :func:`spectrum` on Hardy fields; the one place that
-    zero-pads a spectrum to the length-n transform."""
-    z = np.zeros(grid.n_points, dtype=complex)
-    np.multiply(spec, grid._inv_phase, out=z[:grid.n_points // 2])
-    return ifft(z, out=z)
-
-
 @dataclass(frozen=True, eq=False)
 class HardyField:
     """Complex field with spectrum supported on non-negative frequencies.
 
     ``spectrum`` holds the n/2 non-negative bins (see SpectralGrid), so
-    every field's spectrum is Hardy by construction; it is computed from
-    the values on first use unless the constructor supplies it.  A field
-    made on the half-length layout (from_bins) holds the (2, n/2) rows of
-    its even and odd samples in place of its values, and interleaves them
-    on the first read of ``values``; a consumer of the spectrum alone
-    never builds the n values.  ``orbit`` tags fields known to lie on the
-    soliton family (the group element that generated them); the group
-    action uses it to re-derive closed forms instead of resampling.
+    every field's spectrum is Hardy by construction.  A field holds its
+    values, its spectrum or both, and derives the missing one on first
+    read: the spectrum by :func:`spectrum`, the values by
+    :func:`from_spectrum`; a consumer of the spectrum alone never builds
+    the n values.  ``orbit`` tags fields known to lie on the soliton
+    family (the group element that generated them); the group action
+    uses it to re-derive closed forms instead of resampling.
     """
 
     grid: SpectralGrid
     _values: np.ndarray = field(default=None, repr=False)
     orbit: object = None
     _spectrum: np.ndarray = field(default=None, repr=False, compare=False)
-    _rows: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            object.__setattr__(self, "_values", _interleave(self._rows))
-            object.__setattr__(self, "_rows", None)
+            object.__setattr__(self, "_values", from_spectrum(self.grid, self._spectrum))
         return self._values
 
     @property
@@ -248,26 +231,32 @@ def raw_bins(h: HardyField) -> np.ndarray:
     return h.spectrum * h.grid._inv_phase
 
 
-def _interleave(rows: np.ndarray) -> np.ndarray:
-    """The n grid samples from the (2, n/2) rows of the even and odd ones."""
-    return rows.T.flatten()
+def spectrum(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
+    """Continuum-normalized Fourier coefficients of grid samples on the
+    n/2 non-negative bins, project_rows of their even and odd rows; any
+    negative-frequency content is dropped."""
+    rows = values.reshape(-1, 2).T.astype(complex, order="C")
+    return project_rows(rows, grid) * grid._fwd_phase
 
 
-def from_bins(V: np.ndarray, grid: SpectralGrid, rows: np.ndarray = None) -> HardyField:
-    """The field with raw bins V, in fresh arrays: its spectrum V in
-    continuum normalization, and its rows (hardy_rows(V, grid), or a copy
-    of the rows the caller already holds), interleaved into its values
-    on their first read."""
-    rows = hardy_rows(V, grid) if rows is None else rows.copy()
-    return HardyField(grid, _spectrum=V * grid._fwd_phase, _rows=rows)
+def from_spectrum(grid: SpectralGrid, spec: np.ndarray) -> np.ndarray:
+    """Grid samples of the Hardy field with the n/2 bins spec, the
+    inverse of :func:`spectrum` on Hardy fields: hardy_rows of its raw
+    bins, interleaved."""
+    return hardy_rows(spec * grid._inv_phase, grid).T.ravel()
+
+
+def from_bins(V: np.ndarray, grid: SpectralGrid) -> HardyField:
+    """The field with raw bins V: its spectrum, V in continuum
+    normalization, in a fresh array; its values are built on first read."""
+    return HardyField(grid, _spectrum=V * grid._fwd_phase)
 
 
 def szego_project(f, grid: SpectralGrid = None) -> HardyField:
-    """Zero all strictly negative frequencies (the Nyquist bin included),
-    on the half-length layout: project_rows of the rows of f."""
+    """Zero all strictly negative frequencies (the Nyquist bin included):
+    the field whose spectrum is that of f's samples."""
     grid, vals = _as_values(f, grid)
-    rows = vals.reshape(-1, 2).T.astype(complex, order="C")
-    return from_bins(project_rows(rows, grid), grid)
+    return HardyField(grid, _spectrum=spectrum(grid, vals))
 
 
 def sobolev_norm(h: HardyField, s: float = 0.5, homogeneous: bool = False) -> float:

@@ -296,8 +296,8 @@ def test_evolve_pde_sampling(grid):
 
 
 def test_stored_samples_do_not_alias_the_stepping_buffers(grid):
-    # a sample keeps the step's inverse transform as its values and the
-    # stepping goes on with a copy, which the next step consumes in place
+    # a sample keeps a copy of the step's bins, from which it builds its
+    # values, while the next step consumes the stepping buffers in place
     u0 = soliton_profile(GroupElement(-3.0, 1.0, 0.0, 3.0), grid)
     traj = evolve_pde(u0, GAUSS, 1e-2, t_final=0.01, dt=1e-3, stride=2)
     assert len(traj.fields) == 6
@@ -311,8 +311,8 @@ def test_stored_samples_do_not_alias_the_stepping_buffers(grid):
 
 def test_streamed_samples_never_build_their_values(monkeypatch, tmp_path):
     # the decomposition reads each sample's spectrum alone, and simulate
-    # its spectrum and the run's sums, so neither run interleaves a
-    # sample's rows into values
+    # its spectrum and the run's sums, so neither run builds a sample's
+    # values from its spectrum
     cfg = {"grid": {"n": 2048, "L": 128.0},
            "soliton": {"a0": -3.0, "alpha0": 1.0, "phi0": 0.0, "mu0": 3.0},
            "potential": {"kind": "gaussian", "amplitude": 1.0, "center": 0.0,
@@ -320,30 +320,28 @@ def test_streamed_samples_never_build_their_values(monkeypatch, tmp_path):
            "eps": 0.01, "t_final": {"policy": "fixed", "value": 0.01},
            "dt": 1e-3, "stride": 1}
     built = []
-    interleave = spectral_core._interleave
-    monkeypatch.setattr(spectral_core, "_interleave",
-                        lambda rows: built.append(1) or interleave(rows))
+    synthesize = spectral_core.from_spectrum
+    monkeypatch.setattr(spectral_core, "from_spectrum",
+                        lambda grid, spec: built.append(1) or synthesize(grid, spec))
     report, _, _ = _run_tracked(cfg)
     assert report.times.size == 11
     assert cli.cmd_simulate(cfg, str(tmp_path), False) == 0
     assert built == []
 
 
-def test_stored_sample_values_are_the_interleaved_rows(grid):
-    # the values a stored sample builds on first read are bitwise its
-    # rows interleaved, and bitwise what a sink that reads them at once gets
+def test_stored_sample_values_are_built_on_first_read(grid):
+    # a stored sample holds no values until they are first read; then
+    # they are bitwise from_spectrum of its spectrum, and bitwise what a
+    # sink that reads them at once gets
     u0 = soliton_profile(GroupElement(-3.0, 1.0, 0.0, 3.0), grid)
     traj = evolve_pde(u0, GAUSS, 1e-2, t_final=0.01, dt=1e-3, stride=2)
     read_at_once = []
     evolve_pde(u0, GAUSS, 1e-2, t_final=0.01, dt=1e-3, stride=2,
                on_sample=lambda t, f: read_at_once.append(f.values))
     for f, v in zip(traj.fields, read_at_once):
-        rows = f._rows
-        assert rows.shape == (2, grid.n_points // 2)
-        assert np.array_equal(f.values[0::2], rows[0])
-        assert np.array_equal(f.values[1::2], rows[1])
+        assert f._values is None
+        assert f.values.tobytes() == from_spectrum(grid, f.spectrum).tobytes()
         assert f.values.tobytes() == v.tobytes()
-        assert f._rows is None
 
 
 def test_fft_only_on_the_rk4_path(monkeypatch):

@@ -40,14 +40,12 @@ def test_gaussian_potential_shape():
     b = gaussian_potential(2.0, 1.0, 0.5)
     xs = np.linspace(-3, 3, 11)
     assert_allclose(b.eval_b(xs), 2.0 * np.exp(-(((xs - 1.0) / 0.5) ** 2)), rtol=1e-14)
-    # sup_b is max |b| on the constructor's 16,384-point window
-    assert abs(b.sup_b - 2.0) < 0.1
     # |b'| integrates to twice the peak height, independent of width
     assert abs(b.l1_db - 4.0) < 1e-5
     # ... so a narrow peak is not missed
     for narrow, peak in ((gaussian_potential(2.0, 1.0, 0.05), 2.0),
                          (sech2_potential(1.0, 0.0, 0.1), 1.0)):
-        assert abs(narrow.sup_b - peak) < 1e-4 * peak
+        assert abs(narrow.l1_db - 2.0 * peak) < 1e-4 * peak
 
 
 def test_constant_potential_has_flat_derivative():

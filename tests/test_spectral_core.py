@@ -27,6 +27,8 @@ from szego_lab.spectral_core import (
 )
 from szego_lab.soliton_manifold import (GroupElement, act, identity,
                                         soliton_profile)
+from szego_lab.operators import linearized_apply
+from szego_lab.dynamics import evolve_pde
 
 
 def _negative_content(values):
@@ -105,6 +107,27 @@ def test_fft_loader_names_the_path_it_searched(monkeypatch, tmp_path):
         spectral_core._load_pocketfft()
 
 
+def test_every_transform_has_length_n_half(grid, rng, monkeypatch):
+    # the transform pair, a projection, values built from a spectrum,
+    # the group action, L and the RK4 loop all run on the half-length
+    # layout: no transform has length n
+    lengths = set()
+    c2c = spectral_core._pocketfft.c2c
+
+    def recorded(a, *args):
+        lengths.add(a.shape[-1])
+        return c2c(a, *args)
+
+    monkeypatch.setattr(spectral_core, "_pocketfft", types.SimpleNamespace(c2c=recorded))
+    vals = rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points)
+    spectrum(grid, vals)
+    szego_project(vals, grid).values
+    act(GroupElement(0.8, 1.1, -0.4, 1.25), random_hardy_field(grid, rng)).values
+    linearized_apply(random_hardy_field(grid, rng)).values
+    evolve_pde(soliton_profile(identity(), grid), t_final=2e-3, dt=1e-3, stride=1)
+    assert lengths == {grid.n_points // 2}
+
+
 def test_spectrum_roundtrip(grid, rng):
     # spectrum keeps the n/2 Hardy bins of any samples, and from_spectrum
     # gives back the samples with the other bins of their transform zeroed
@@ -128,6 +151,7 @@ def test_every_constructor_holds_the_n_half_hardy_bins(grid, rng):
         "random_rational_field": random_rational_field(grid, rng),
         "act": act(GroupElement(0.8, 1.1, -0.4, 1.25),
                    random_rational_field(grid, rng)),
+        "spectrum only": HardyField(grid, _spectrum=member.spectrum.copy()),
     }
     for name, f in fields.items():
         assert f.spectrum.shape == (N,), name
