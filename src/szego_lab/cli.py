@@ -36,7 +36,7 @@ from .soliton_manifold import (
     family_drift_rate,
     soliton_profile,
 )
-from .dynamics import DivergenceError, EffectiveState, evolve_effective, evolve_pde
+from .dynamics import EffectiveState, evolve_effective, evolve_pde
 from .decomposition import (
     Tracker,
     TubularNeighborhoodError,
@@ -142,6 +142,9 @@ def validate_config(cfg: dict, need_sweep: bool = False) -> list:
             r = [el[i] / el[i + 1] for i in range(len(el) - 1)]
             _check(e, "eps_list", min(r) > 1 and max(r) / min(r) < 1 + 1e-9,
                    "values must be distinct, decreasing and geometrically spaced")
+            _check(e, "eps_list", len({_member_dir(v) for v in el}) == len(set(el)),
+                   "values must differ within 6 significant digits, the "
+                   "precision of each member's output directory eps_<value>")
     if not e:
         # every sweep member runs to the horizon of its own eps; a fixed
         # horizon is the same for all of them, so it is checked once
@@ -181,6 +184,11 @@ def _settings(cfg: dict) -> tuple:
     tf = cfg.get("t_final")
     return (cfg.get("dt", DT), cfg.get("stride", STRIDE), cfg.get("delta", DELTA),
             (tf if isinstance(tf, dict) else {}).get("c0_fit", C0_FIT))
+
+
+def _member_dir(eps) -> str:
+    """The name of a sweep member's output directory."""
+    return f"eps_{float(eps):g}"
 
 
 def horizon(tf: dict, eps: float, delta: float, c0: float, dt: float) -> tuple:
@@ -254,12 +262,19 @@ def _write_json(path, obj) -> None:
         fh.write("\n")
 
 
+def _run_pde(spec: RunSpec, on_sample):
+    """The PDE run of spec from its initial soliton, on_sample(t, field) at
+    each of spec's sample times.  evolve_pde and soliton_profile are looked
+    up at call time, so whatever wraps or replaces them here is run."""
+    return evolve_pde(soliton_profile(spec.g0, spec.grid), spec.potential,
+                      spec.eps, float(spec.times[-1]), spec.dt, spec.stride,
+                      on_sample=on_sample)
+
+
 def cmd_simulate(cfg: dict, outdir: str, with_plots: bool) -> int:
     spec = run_spec(cfg)
     norms_h12 = []
-    traj = evolve_pde(soliton_profile(spec.g0, spec.grid), spec.potential,
-                      spec.eps, float(spec.times[-1]), spec.dt, spec.stride,
-                      on_sample=lambda t, f: norms_h12.append(sobolev_norm(f, 0.5)))
+    traj = _run_pde(spec, lambda t, f: norms_h12.append(sobolev_norm(f, 0.5)))
     _write_csv(os.path.join(outdir, "fields.csv"),
                ["t", "norm_L2", "norm_H12", "mass", "hamiltonian"],
                [traj.times, np.sqrt(traj.mass), norms_h12, traj.mass,
@@ -423,8 +438,8 @@ def _consume(spec: RunSpec, fd: int):
     yield result
 
 
-def _decompose_in_consumer(spec: RunSpec, run_pde):
-    """run_pde(on_sample) while a forked consumer runs Tracker.add on each
+def _decompose_in_consumer(spec: RunSpec):
+    """_run_pde(spec, ...) while a forked consumer runs Tracker.add on each
     sample (_consume); returns the PDE trajectory and the consumer's
     Tracker.  Only a sample's bins cross the pipe, as raw bytes, and a
     default pipe holds 64 KiB, the bins of one sample at n = 8192: there
@@ -439,7 +454,7 @@ def _decompose_in_consumer(spec: RunSpec, run_pde):
         os.close(samples_r)
         traj = stopped = None
         try:
-            traj = run_pde(lambda t, f: _write_all(samples_w, f.spectrum))
+            traj = _run_pde(spec, lambda t, f: _write_all(samples_w, f.spectrum))
         except BrokenPipeError:    # the consumer stopped reading
             pass
         except Exception as exc:   # raised below, after the consumer's
@@ -467,17 +482,11 @@ def _run_tracked(cfg: dict, consumer: bool = False):
     momentum's."""
     spec = run_spec(cfg)
     eff = _effective_run(spec)
-
-    def run_pde(on_sample):
-        return evolve_pde(soliton_profile(spec.g0, spec.grid), spec.potential,
-                          spec.eps, float(spec.times[-1]), spec.dt,
-                          spec.stride, on_sample=on_sample)
-
     if consumer:
-        traj, tracker = _decompose_in_consumer(spec, run_pde)
+        traj, tracker = _decompose_in_consumer(spec)
     else:
         tracker = Tracker(spec.grid, spec.g0)
-        traj = run_pde(tracker.add)
+        traj = _run_pde(spec, tracker.add)
     report = tracker.report(spec.potential, spec.eps, eff)
     metrics = theorem_metrics(report, spec.eps, spec.delta)
     metrics["mass_drift"] = traj.mass_drift
@@ -560,7 +569,7 @@ def cmd_sweep(cfg: dict, outdir: str, with_plots: bool, parallel: int) -> int:
     eps_list = [float(v) for v in cfg["eps_list"]]
     # a member's directory is made once it completes, so a path that
     # cannot be one is reported before any member runs
-    subs = [os.path.join(outdir, f"eps_{eps:g}") for eps in eps_list]
+    subs = [os.path.join(outdir, _member_dir(eps)) for eps in eps_list]
     taken = [s for s in subs if os.path.lexists(s) and not os.path.isdir(s)]
     for sub in taken:
         print(f"config error: output directory {sub!r}: not a directory",
@@ -579,7 +588,7 @@ def cmd_sweep(cfg: dict, outdir: str, with_plots: bool, parallel: int) -> int:
     # eps_list decreases (validate_config), and so does results' order
     completed = list(results)
     for eps in completed:
-        sub = os.path.join(outdir, f"eps_{eps:g}")
+        sub = os.path.join(outdir, _member_dir(eps))
         os.makedirs(sub, exist_ok=True)
         _emit_tracked(*results[eps], sub, with_plots)
 
@@ -683,9 +692,6 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, outdir, args.plots, args.parallel)
         return cmd_validate(outdir)
-    except DivergenceError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 1
     except TubularNeighborhoodError as exc:
         print(f"runtime error: decomposition left the tubular neighborhood "
               f"({exc})", file=sys.stderr)

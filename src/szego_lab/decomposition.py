@@ -49,17 +49,6 @@ from .dynamics import (
     free_flow,
 )
 
-__all__ = [
-    "Decomposition",
-    "TrackReport",
-    "TubularNeighborhoodError",
-    "DegenerateParametrizationError",
-    "reparametrize",
-    "x_vector",
-    "Tracker",
-    "track",
-    "theorem_metrics",
-]
 
 TUBULAR_RADIUS = 0.25   # accept decompositions only below this H^{1/2} size
 MAX_NEWTON_ITERS = 50
@@ -260,7 +249,6 @@ class TrackReport:
     mass_residual: np.ndarray = None   # family mass identity, relative to mass(u0)
     newton_iters: np.ndarray = None
     mu_window_ok: bool = True
-    eps: float = 0.0
 
     def params(self) -> np.ndarray:
         return np.array([g.as_array() for g in self.g_series])
@@ -371,7 +359,7 @@ class Tracker:
 
         return TrackReport(times, g_series, np.array(wh12), x_norm, deviations,
                            np.array(wl2), np.array(m_res), np.array(iters),
-                           mu_ok, eps)
+                           mu_ok)
 
 
 def track(pde_trajectory: PdeTrajectory, b: PotentialSpec, eps: float,

@@ -46,20 +46,6 @@ from .soliton_manifold import (
     mass_log_slope,
 )
 
-__all__ = [
-    "EffectiveState",
-    "CoefficientTriple",
-    "DivergenceError",
-    "PdeTrajectory",
-    "abc_coefficients",
-    "abc_pairing",
-    "pde_rhs",
-    "evolve_pde",
-    "effective_rhs",
-    "evolve_effective",
-    "free_flow",
-]
-
 
 class DivergenceError(RuntimeError):
     """The explicit integrator produced a non-finite field."""

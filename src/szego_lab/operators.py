@@ -25,23 +25,6 @@ from .spectral_core import (
 )
 from .soliton_manifold import generator_spectra, identity, soliton_profile
 
-__all__ = [
-    "PotentialSpec",
-    "OperatorDiagnostics",
-    "gaussian_potential",
-    "sech2_potential",
-    "constant_potential",
-    "table_potential",
-    "toeplitz_apply",
-    "hankel_apply",
-    "hankel_rank",
-    "kernel_witness",
-    "linearized_apply",
-    "hamiltonian",
-    "mass",
-    "momentum",
-]
-
 
 @dataclass(frozen=True)
 class PotentialSpec:
@@ -56,7 +39,6 @@ class PotentialSpec:
     eval_b: callable
     eval_db: callable
     support_hint: tuple = None
-    label: str = "potential"
     l1_db: float = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -100,8 +82,7 @@ def gaussian_potential(amplitude: float = 1.0, center: float = 0.0,
         return b(x) * (-2.0 * (x - center) / width**2)
 
     half = 8.0 * width
-    return PotentialSpec(b, db, (center - half, center + half),
-                         label=f"gaussian(amp={amplitude},c={center},w={width})")
+    return PotentialSpec(b, db, (center - half, center + half))
 
 
 def sech2_potential(amplitude: float = 1.0, center: float = 0.0,
@@ -116,8 +97,7 @@ def sech2_potential(amplitude: float = 1.0, center: float = 0.0,
         return -2.0 * amplitude * np.tanh(z) / (width * np.cosh(z) ** 2)
 
     half = 20.0 * width
-    return PotentialSpec(b, db, (center - half, center + half),
-                         label=f"sech2(amp={amplitude},c={center},w={width})")
+    return PotentialSpec(b, db, (center - half, center + half))
 
 
 def constant_potential(value: float) -> PotentialSpec:
@@ -127,7 +107,7 @@ def constant_potential(value: float) -> PotentialSpec:
     def db(x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    return PotentialSpec(b, db, (-1.0, 1.0), label=f"constant({value})")
+    return PotentialSpec(b, db, (-1.0, 1.0))
 
 
 def table_potential(xs, values) -> PotentialSpec:
@@ -150,8 +130,7 @@ def table_potential(xs, values) -> PotentialSpec:
         return f
 
     sp = CubicSpline(xs, values)
-    return PotentialSpec(zero_outside(sp), zero_outside(sp.derivative()), (lo, hi),
-                         label="table")
+    return PotentialSpec(zero_outside(sp), zero_outside(sp.derivative()), (lo, hi))
 
 
 def toeplitz_apply(b: PotentialSpec, h: HardyField) -> HardyField:

@@ -32,28 +32,6 @@ from .spectral_core import (
     symplectic_pair,
 )
 
-__all__ = [
-    "MU_MIN",
-    "MU_MAX",
-    "GroupElement",
-    "LieVector",
-    "compose",
-    "identity",
-    "inverse",
-    "act",
-    "soliton_profile",
-    "omega_eta_matrix",
-    "manifold_project",
-    "generator_spectra",
-    "tangent_frame_spectra",
-    "frame_gram",
-    "family_shape",
-    "family_shape_moments",
-    "family_spectrum",
-    "family_mass_constant",
-    "family_drift_rate",
-    "mass_log_slope",
-]
 
 # extreme scales alias on a fixed grid; the theorem regime keeps mu
 # near mu0 anyway

@@ -30,24 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "SpectralGrid",
-    "HardyField",
-    "szego_project",
-    "sobolev_norm",
-    "inner_real",
-    "symplectic_pair",
-    "quadrature",
-    "spectrum",
-    "from_spectrum",
-    "hardy_rows",
-    "project_rows",
-    "raw_bins",
-    "from_bins",
-    "random_hardy_field",
-    "random_rational_field",
-]
-
 
 def _load_pocketfft():
     """The compiled pocketfft module that scipy.fft wraps, loaded from

@@ -209,6 +209,19 @@ def test_sweep_rejects_eps_lists_that_do_not_decrease(tmp_path, capsys, eps_list
     assert not out.exists()
 
 
+def test_sweep_rejects_eps_values_that_share_a_member_directory(tmp_path, capsys):
+    # geometric and decreasing, but every member's directory is eps_0.01:
+    # the sweep used to exit 0 with one member's files and a summary of three
+    cfg = tiny_config(eps_list=[0.01000002, 0.01000001, 0.01])
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: eps_list: values must differ within 6 significant digits, "
+        "the precision of each member's output directory eps_<value>\n")
+    assert not out.exists()
+
+
 def test_soliton_wrapping_round_the_box_is_config_error(tmp_path, capsys):
     # the free soliton moves at c ~ 1.5; it must stay 10/mu0 = 3.33 clear
     # of the edge L/2 from a0 to a0 + c T
@@ -855,6 +868,23 @@ def test_an_interrupted_consumer_run_reaps_the_consumer(tmp_path, monkeypatch,
     assert_reaped(forks, 1)
 
 
+@pytest.mark.parametrize("command, consumer",
+                         [("simulate", None), ("track", True), ("track", False)])
+def test_a_diverging_run_is_a_runtime_error(tmp_path, capsys, monkeypatch, forks,
+                                            command, consumer):
+    # DivergenceError is a RuntimeError: exit 1 with its message, and a
+    # forked consumer is reaped
+    def diverges(*args, **kwargs):
+        raise DivergenceError("non-finite field at t = 0.001")
+
+    monkeypatch.setattr(cli, "evolve_pde", diverges)
+    monkeypatch.setattr(cli, "_spare_cpu", lambda: consumer)
+    assert main([command, "--config", write_config(tmp_path, tiny_config()),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "runtime error: non-finite field at t = 0.001\n"
+    assert_reaped(forks, int(bool(consumer)))
+
+
 @_PROC_CHILDREN
 @pytest.mark.skipif(not cli._spare_cpu(), reason="track forks no consumer here")
 def test_track_consumer_ends_with_a_killed_cli(tmp_path):
@@ -946,6 +976,28 @@ def test_commands_leave_scipy_integrate_and_interpolate_unloaded(tmp_path):
     lines = done.stdout.strip().splitlines()
     assert "runs: []" in lines
     assert lines[-1] == "all: []"
+
+
+_LAYERS = ["spectral_core", "soliton_manifold", "operators", "dynamics",
+           "decomposition"]
+
+
+@pytest.mark.parametrize("module, loaded", [
+    *((layer, _LAYERS[:k + 1]) for k, layer in enumerate(_LAYERS)),
+    ("plots", ["plots"]),
+    ("cli", _LAYERS + ["plots", "cli"]),
+], ids=_LAYERS + ["plots", "cli"])
+def test_a_module_loads_only_the_modules_it_imports(module, loaded):
+    # the package re-exports nothing, so each layer of grid, soliton
+    # family, operators, flow and decomposition loads only those below it
+    script = (f"import json, sys, szego_lab.{module}\n"
+              "print(json.dumps(sorted(m for m in sys.modules"
+              " if m.startswith('szego_lab.'))))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == sorted(f"szego_lab.{m}" for m in loaded)
 
 
 def test_benchmark_tracer_installs():

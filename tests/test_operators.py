@@ -79,7 +79,7 @@ def test_potential_derivative_selfcheck():
         return np.zeros_like(np.asarray(x, dtype=float))
 
     with pytest.raises(ValueError):
-        PotentialSpec(b, bad_db, (-8.0, 8.0), label="broken")
+        PotentialSpec(b, bad_db, (-8.0, 8.0))
 
 
 def test_potential_on_grid_cached(grid):
