@@ -21,8 +21,7 @@ from .operators import (gaussian_potential, hankel_apply, hankel_rank,
 from .soliton_manifold import (GroupElement, generator_spectra, identity,
                                manifold_project, omega_eta_matrix,
                                soliton_profile)
-from .dynamics import (EffectiveState, PdeTrajectory, effective_rhs, evolve_pde,
-                       free_flow)
+from .dynamics import PdeTrajectory, effective_rhs, evolve_pde, free_flow
 from .decomposition import Tracker, x_vector
 
 # continuum omega(e_i eta, e_j eta) above the diagonal; the matrix is
@@ -93,8 +92,8 @@ def effective_flow_defect(rng: np.random.Generator, count: int, b, eps: float,
     for _ in range(count):
         g = GroupElement(rng.uniform(-5, 5), rng.uniform(0.7, 1.4),
                          rng.uniform(-phi_max, phi_max), rng.uniform(*mu_range))
-        rates = effective_rhs(EffectiveState(0.0, g), b, eps, grid)
-        worst = max(worst, x_vector(g, rates, b, eps, grid=grid).norm())
+        worst = max(worst, x_vector(g, effective_rhs(g, b, eps, grid), b, eps,
+                                    grid=grid).norm())
     return worst
 
 

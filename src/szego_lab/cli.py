@@ -33,10 +33,9 @@ from .soliton_manifold import (
     MU_MAX,
     MU_MIN,
     GroupElement,
-    family_drift_rate,
     soliton_profile,
 )
-from .dynamics import EffectiveState, evolve_effective, evolve_pde
+from .dynamics import EffectiveState, evolve_effective, evolve_pde, free_flow
 from .decomposition import (
     Tracker,
     TubularNeighborhoodError,
@@ -46,7 +45,8 @@ from .decomposition import (
 from . import plots
 
 _POTENTIAL_KINDS = ("gaussian", "sech2", "constant", "table")
-# largest family-spectrum tail exp(-xi_max/mu0) left at the top grid bin
+# largest share of its value at xi = 0 that the soliton's spectrum or the
+# potential's transform may keep at the top grid bin
 SPECTRAL_TAIL_MAX = 1e-6
 # defaults of the optional config keys dt, stride, delta and t_final.c0_fit
 DT, STRIDE, DELTA, C0_FIT = 5e-4, 100, 0.35, 32.0
@@ -157,18 +157,30 @@ def validate_config(cfg: dict, need_sweep: bool = False) -> list:
             longest = max(longest, steps * dt)
         # the soliton spectrum decays as exp(-xi/mu0); a tail the grid
         # cuts off is a member it cannot represent
-        tail = math.exp(-2 * math.pi * (n // 2 - 1) / (g["L"] * s["mu0"]))
+        xi_max = 2 * math.pi * (n // 2 - 1) / g["L"]
+        tail = math.exp(-xi_max / s["mu0"])
         _check(e, "soliton.mu0", tail <= SPECTRAL_TAIL_MAX,
                f"spectral tail exp(-xi_max/mu0) = {tail:.2g} at the top grid "
                f"bin exceeds {SPECTRAL_TAIL_MAX:g}; the grid does not resolve "
                "this scale (raise grid.n, or lower grid.L or mu0)")
+        if kind in ("gaussian", "sech2"):
+            # the transform at xi_max over its value at 0: exp(-z^2) for the
+            # Gaussian and x / sinh x, x = pi z, for sech2, z = xi_max width / 2
+            z = 0.5 * xi_max * p["width"]
+            x = math.pi * z
+            tail = math.exp(-z * z) if kind == "gaussian" \
+                else (x / math.sinh(x) if x < 700 else 0.0)
+            _check(e, "potential.width", tail <= SPECTRAL_TAIL_MAX,
+                   f"the {kind}'s transform at the top grid bin is {tail:.2g} "
+                   f"of its value at 0, above {SPECTRAL_TAIL_MAX:g}; the grid "
+                   "does not resolve this width (raise grid.n, or lower grid.L, "
+                   "or widen the potential)")
     if not e:
         # the free soliton must stay 10/mu0 clear of the box edge +-L/2 from
         # a0 to a0 + c T (c the discrete-family drift rate, T the longest
         # run horizon), or it wraps round the periodic box
         half, margin = 0.5 * g["L"], 10.0 / s["mu0"]
-        end = s["a0"] + family_drift_rate(s["alpha0"], s["mu0"],
-                                          build_grid(cfg)) * longest
+        end = free_flow(build_g0(cfg), longest, build_grid(cfg)).a
         for a, where in ((s["a0"], f"starts at a = {s['a0']:.6g}"),
                          (end, f"reaches a = {end:.6g} at t = {longest:.6g}")):
             _check(e, "soliton.a0", abs(a) <= half - margin,
@@ -300,8 +312,8 @@ def _effective_run(spec: RunSpec) -> list:
     """The reduced flow on the grid route at the sample times: what
     effective writes and what track compares against."""
     return evolve_effective(EffectiveState(0.0, spec.g0), spec.potential,
-                            spec.eps, float(spec.times[-1]), t_eval=spec.times,
-                            grid=spec.grid, rtol=1e-11, atol=1e-13)
+                            spec.eps, spec.times, grid=spec.grid,
+                            rtol=1e-11, atol=1e-13)
 
 
 def cmd_effective(cfg: dict, outdir: str, with_plots: bool) -> int:
@@ -497,20 +509,22 @@ def _run_tracked(cfg: dict, consumer: bool = False):
 
 
 def _emit_tracked(report, metrics, outdir: str, with_plots: bool) -> None:
-    report.to_csv(os.path.join(outdir, "track.csv"))
+    dev = list(report.deviations.T)
+    _write_csv(os.path.join(outdir, "track.csv"),
+               ["t", "a", "alpha", "phi", "mu", "w_h12", "x_norm",
+                "da", "dalpha", "dphi", "dmu"],
+               [report.times, *report.params().T, report.w_h12,
+                report.x_norm, *dev])
     _write_json(os.path.join(outdir, "metrics.json"), metrics)
     if with_plots:
         plots.line_plot(os.path.join(outdir, "w_norm.svg"), report.times,
                         [report.w_h12], labels=["|w|_H12"],
                         title="remainder size", xlabel="t", logy=True)
-        if report.deviations is not None:
-            plots.line_plot(os.path.join(outdir, "deviations.svg"),
-                            report.times,
-                            [report.deviations[:, k] for k in range(4)],
-                            labels=["|a-a_eff|", "|alpha-alpha_eff|",
-                                    "|phi-phi_eff|", "|mu-mu_eff|"],
-                            title="deviation from effective dynamics",
-                            xlabel="t", logy=True)
+        plots.line_plot(os.path.join(outdir, "deviations.svg"), report.times,
+                        dev, labels=["|a-a_eff|", "|alpha-alpha_eff|",
+                                     "|phi-phi_eff|", "|mu-mu_eff|"],
+                        title="deviation from effective dynamics",
+                        xlabel="t", logy=True)
 
 
 def cmd_track(cfg: dict, outdir: str, with_plots: bool) -> int:

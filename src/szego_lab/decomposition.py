@@ -35,11 +35,9 @@ from .soliton_manifold import (
     LieVector,
     act,
     family_mass_constant,
-    family_drift_rate,
     family_shape,
     family_shape_moments,
     inverse,
-    mass_log_slope,
     soliton_profile,
 )
 from .dynamics import (
@@ -47,6 +45,7 @@ from .dynamics import (
     abc_coefficients,
     abc_pairing,
     free_flow,
+    free_rates,
 )
 
 
@@ -209,31 +208,21 @@ def x_vector(g: GroupElement, gdot, b: PotentialSpec, eps: float,
              grid: SpectralGrid = None) -> LieVector:
     """Defect of the parameter velocities against the effective flow:
 
-        X1 = da mu - alpha^2 mu^2 / 2 + 2B
-        X2 = dalpha/alpha - C
-        X3 = dphi + alpha^2 mu^2 / 4 + A + B
-        X4 = dmu/mu + 2C.
+        X1 = (da - c) mu + 2B
+        X2 = dalpha/alpha - k C
+        X3 = dphi - w + A + B
+        X4 = dmu/mu + 2C,
 
-    With a grid, the free rates are the exact discrete-family values
-    (drift c and its phase companion -c^2/alpha^2) and the amplitude
-    channel carries the finite-box mass correction, mirroring
-    effective_rhs; the two routes agree to O(1/L).
+    with (c, w, k) = dynamics.free_rates(g, grid) and the coefficients of
+    the same route as dynamics.effective_rhs, whose velocities it
+    vanishes on; the continuum and grid routes agree to O(1/L).
     """
     da, dal, dphi, dmu = (float(v) for v in np.asarray(gdot, dtype=float))
-    al, mu = g.alpha, g.mu
-    if grid is None:
-        co = abc_coefficients(g, b, eps)
-        free = 0.5 * al**2 * mu
-        return LieVector(da * mu - free * mu + 2.0 * co.B,
-                         dal / al - co.C,
-                         dphi + 0.25 * al**2 * mu**2 + co.A + co.B,
-                         dmu / mu + 2.0 * co.C)
-    co = abc_pairing(g, b, eps, grid)
-    c = family_drift_rate(al, mu, grid)
-    return LieVector((da - c) * mu + 2.0 * co.B,
-                     dal / al - mass_log_slope(mu, grid) * co.C,
-                     dphi + c**2 / al**2 + co.A + co.B,
-                     dmu / mu + 2.0 * co.C)
+    co = abc_coefficients(g, b, eps) if grid is None \
+        else abc_pairing(g, b, eps, grid)
+    c, w, k = free_rates(g, grid)
+    return LieVector((da - c) * g.mu + 2.0 * co.B, dal / g.alpha - k * co.C,
+                     dphi - w + co.A + co.B, dmu / g.mu + 2.0 * co.C)
 
 
 @dataclass(frozen=True)
@@ -252,19 +241,6 @@ class TrackReport:
 
     def params(self) -> np.ndarray:
         return np.array([g.as_array() for g in self.g_series])
-
-    def to_csv(self, path) -> None:
-        cols = ["t", "a", "alpha", "phi", "mu", "w_h12", "x_norm"]
-        P = self.params()
-        data = [self.times, P[:, 0], P[:, 1], P[:, 2], P[:, 3],
-                self.w_h12, self.x_norm]
-        if self.deviations is not None:
-            cols += ["da", "dalpha", "dphi", "dmu"]
-            data += [self.deviations[:, k] for k in range(4)]
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for i in range(self.times.size):
-                fh.write(",".join("%.17g" % col[i] for col in data) + "\n")
 
 
 def _gdot_series(times: np.ndarray, params: np.ndarray) -> np.ndarray:

@@ -1,15 +1,18 @@
 """Time integration of the perturbed flow and of the effective
 parameter dynamics, plus the coefficient integrals coupling them.
 
-Two routes to the coefficients A, B, C coexist deliberately.  The
-quadrature route evaluates the printed integrals of the continuum
-theory and is what effective_rhs and x_vector use by default; it makes
-the pair (effective_rhs, x_vector) cancel algebraically.  The pairing
-route extracts the same coefficients from the symplectic response of
-the discrete soliton family to the forcing; it differs by O(1/L) grid
-corrections and is what the tracked-run comparisons use, because the
-grid family drifts at its own exact rate (family_drift_rate) rather
-than the continuum alpha^2 mu / 2.
+The effective dynamics have two routes, chosen by whether a grid is
+given.  The continuum route takes the continuum free rates and the
+coefficients A, B, C from the printed integrals of the continuum theory
+(abc_coefficients).  The grid route takes the exact free rates of the
+discrete soliton family, which drifts at its own exact rate rather than
+alpha^2 mu / 2, and extracts the coefficients from the symplectic
+response of that family to the forcing (abc_pairing); it differs from
+the continuum by O(1/L) grid corrections and is what the tracked-run
+comparisons use.  free_rates is the one place that picks the free
+rates, and effective_rhs, decomposition.x_vector and free_flow read
+them there, so on either route the pair (effective_rhs, x_vector)
+cancels algebraically.
 
 Only the RK4 steps of the PDE take FFTs, all of length n/2.  The state
 is the n/2 non-negative raw bins of a Hardy field, and _raw_rhs, the one
@@ -349,38 +352,42 @@ def evolve_pde(u0: HardyField, b: PotentialSpec = None, eps: float = 0.0,
     return PdeTrajectory(grid, times, fields, *sums.T, *map(float, drifts), eps, dt)
 
 
-def effective_rhs(s: EffectiveState, b: PotentialSpec, eps: float,
-                  grid: SpectralGrid = None) -> np.ndarray:
-    """Parameter velocities (da, dalpha, dphi, dmu) of the averaged flow.
+def free_rates(g: GroupElement, grid: SpectralGrid = None) -> tuple:
+    """(c, w, k): the free drift of a, the free phase rate and the factor
+    on the amplitude channel's C at g.
 
-    Default is the continuum system
-        da     = alpha^2 mu / 2 - 2B/mu
-        dalpha = alpha C
-        dphi   = -alpha^2 mu^2 / 4 - A - B
-        dmu    = -2 mu C,
-    which conserves alpha^2 mu identically.  With a grid, the free
-    rates are replaced by the exact discrete-family values and the
-    amplitude channel picks up the finite-box mass correction, so that
-    the flow stays on the discrete family instead of the continuum one.
+    The continuum gives alpha^2 mu / 2, -alpha^2 mu^2 / 4 and 1.  With a
+    grid they are the discrete family's exact drift family_drift_rate,
+    its phase companion -c^2 / alpha^2 and the finite-box mass correction
+    mass_log_slope, so that a flow built on them stays on the discrete
+    family.  effective_rhs, x_vector and free_flow all read them here.
     """
-    g = s.g
     al, mu = g.alpha, g.mu
     if grid is None:
-        co = abc_coefficients(g, b, eps)
-        return np.array([
-            0.5 * al**2 * mu - 2.0 * co.B / mu,
-            al * co.C,
-            -0.25 * al**2 * mu**2 - co.A - co.B,
-            -2.0 * mu * co.C,
-        ])
-    co = abc_pairing(g, b, eps, grid)
+        return 0.5 * al**2 * mu, -0.25 * al**2 * mu**2, 1.0
     c = family_drift_rate(al, mu, grid)
-    return np.array([
-        c - 2.0 * co.B / mu,
-        al * mass_log_slope(mu, grid) * co.C,
-        -c**2 / al**2 - co.A - co.B,
-        -2.0 * mu * co.C,
-    ])
+    return c, -c**2 / al**2, mass_log_slope(mu, grid)
+
+
+def effective_rhs(g: GroupElement, b: PotentialSpec, eps: float,
+                  grid: SpectralGrid = None) -> np.ndarray:
+    """Parameter velocities (da, dalpha, dphi, dmu) of the averaged flow,
+
+        da     = c - 2B/mu
+        dalpha = alpha k C
+        dphi   = w - A - B
+        dmu    = -2 mu C,
+
+    with (c, w, k) = free_rates(g, grid) and A, B, C from abc_coefficients
+    in the continuum or abc_pairing on a grid.  The continuum system
+    conserves alpha^2 mu identically, the grid system the discrete
+    family's mass.
+    """
+    co = abc_coefficients(g, b, eps) if grid is None \
+        else abc_pairing(g, b, eps, grid)
+    c, w, k = free_rates(g, grid)
+    return np.array([c - 2.0 * co.B / g.mu, g.alpha * k * co.C,
+                     w - co.A - co.B, -2.0 * g.mu * co.C])
 
 
 # The Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math.
@@ -457,37 +464,29 @@ def _rk45(fun, t0: float, y0: np.ndarray, t_bound: float, t_eval: np.ndarray,
 
 
 def evolve_effective(s0: EffectiveState, b: PotentialSpec, eps: float,
-                     t_final: float, t_eval, grid: SpectralGrid = None,
+                     t_eval, grid: SpectralGrid = None,
                      rtol: float = 1e-10, atol: float = 1e-12) -> list:
     """Adaptive Dormand-Prince 5(4) integration of effective_rhs (_rk45)
-    from s0 to s0.t + t_final (> 0), sampled at the sorted t_eval."""
+    from s0 to the last of the sorted t_eval, sampled at each of them."""
     def rhs(t, y):
         # a non-finite stage state is a failed integration, not a bad
         # group point for GroupElement to reject
         if not np.all(np.isfinite(y)):
             raise RuntimeError("effective integration failed: non-finite "
                                f"state at t={t:.17g}")
-        st = EffectiveState(t, GroupElement(y[0], y[1], y[2], y[3]))
-        return effective_rhs(st, b, eps, grid)
+        return effective_rhs(GroupElement(*y), b, eps, grid)
 
-    t0, t1 = float(s0.t), float(s0.t + t_final)
     t_eval = np.asarray(t_eval, dtype=float)
-    if not t0 < t1 or t_eval[0] < t0 or t_eval[-1] > t1:
-        raise ValueError("need t_final > 0 and t_eval inside [s0.t, s0.t + t_final]")
+    t0, t1 = float(s0.t), float(t_eval[-1])
+    if not t0 < t1 or t_eval[0] < t0:
+        raise ValueError("need t_eval[-1] > s0.t and no sample before s0.t")
     ys = _rk45(rhs, t0, s0.g.as_array(), t1, t_eval, rtol, atol)
     return [EffectiveState(float(t), GroupElement(*y)) for t, y in zip(t_eval, ys.T)]
 
 
 def free_flow(g0: GroupElement, t: float, grid: SpectralGrid = None) -> GroupElement:
-    """Unperturbed soliton motion: uniform translation and phase rotation.
-
-    With a grid, the translation speed is the exact discrete-family
-    rate; otherwise the continuum alpha^2 mu / 2 and -alpha^2 mu^2 / 4.
-    """
-    if grid is None:
-        da = 0.5 * g0.alpha**2 * g0.mu
-        dphi = -0.25 * g0.alpha**2 * g0.mu**2
-    else:
-        da = family_drift_rate(g0.alpha, g0.mu, grid)
-        dphi = -da**2 / g0.alpha**2
-    return GroupElement(g0.a + da * t, g0.alpha, g0.phi + dphi * t, g0.mu)
+    """Unperturbed soliton motion: uniform translation and phase rotation
+    at the free rates (free_rates) of the continuum or of the grid's
+    discrete family."""
+    c, w, _ = free_rates(g0, grid)
+    return GroupElement(g0.a + c * t, g0.alpha, g0.phi + w * t, g0.mu)

@@ -146,7 +146,6 @@ def hankel_apply(u: HardyField, h) -> HardyField:
 
 @dataclass(frozen=True)
 class OperatorDiagnostics:
-    symmetry_defect: float
     rank_estimate: int
     singular_values: np.ndarray
 
@@ -156,9 +155,8 @@ def hankel_rank(u: HardyField, tol: float = 1e-8, m: int = 256) -> OperatorDiagn
 
     The matrix elements against the normalized modes e_j = exp(i xi_j x)/sqrt(L)
     depend on j+k only, M[j,k] = u_hat(xi_{j+k})/L, so the restriction is
-    complex-symmetric by construction; the defect reported is the
-    numerical deviation from that identity.  rank_estimate counts
-    singular values above tol * sigma_max.
+    complex-symmetric by construction.  rank_estimate counts singular
+    values above tol * sigma_max.
     """
     n_modes = u.spectrum.size
     if 2 * m - 1 > n_modes:
@@ -169,8 +167,7 @@ def hankel_rank(u: HardyField, tol: float = 1e-8, m: int = 256) -> OperatorDiagn
     sing = np.linalg.svd(M, compute_uv=False)
     smax = sing[0] if sing.size else 0.0
     rank = int(np.sum(sing > tol * smax)) if smax > 0 else 0
-    defect = float(np.max(np.abs(M - M.T))) if m else 0.0
-    return OperatorDiagnostics(defect, rank, sing)
+    return OperatorDiagnostics(rank, sing)
 
 
 def kernel_witness(h: HardyField) -> np.ndarray:

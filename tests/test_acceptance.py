@@ -198,7 +198,7 @@ def test_criterion_7_effective_fixed_point(grid):
     worst = effective_flow_defect(np.random.default_rng(500), 100, GAUSS, 1e-2,
                                   grid, phi_max=np.pi, mu_range=(0.5, 2.0))
     states = evolve_effective(EffectiveState(0.0, TRANSIT_G0), GAUSS, 1e-2,
-                              10.0, t_eval=np.linspace(0.0, 10.0, 21))
+                              t_eval=np.linspace(0.0, 10.0, 21))
     inv0 = TRANSIT_G0.alpha**2 * TRANSIT_G0.mu
     drift = max(abs(s.g.alpha**2 * s.g.mu - inv0) / inv0 for s in states)
     ok = worst < 1e-9 and drift < 1e-9

@@ -153,6 +153,29 @@ def test_unresolved_soliton_scale_is_config_error(tmp_path, capsys):
         assert validate_config(cfg, need_sweep="eps_list" in cfg) == [], path.name
 
 
+@pytest.mark.parametrize("kind, narrow, wide", [("gaussian", 0.073, 0.074),
+                                                ("sech2", 0.109, 0.110)],
+                         ids=["gaussian", "sech2"])
+def test_unresolved_potential_width_is_config_error(tmp_path, capsys, kind,
+                                                    narrow, wide):
+    # on the transit grid xi_max = 100.5, and the transform there must fall
+    # to 1e-6 of its value at 0: width >= 0.074 for a Gaussian and >= 0.110
+    # for sech2.  A Gaussian of width 0.01 on it gives sup_dev_a 2.2x off
+    # the n = 32768 value
+    grid = {"n": 8192, "L": 256.0}
+    pot = {"kind": kind, "amplitude": 1.0, "center": 0.0}
+    cfg = tiny_config(grid=grid, potential=dict(pot, width=narrow))
+    errors = validate_config(cfg)
+    assert len(errors) == 1
+    assert errors[0].startswith(f"potential.width: the {kind}'s transform")
+    out = tmp_path / "o"
+    assert main(["track", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    assert "config error: potential.width: " in capsys.readouterr().err
+    assert not out.exists()
+    assert validate_config(tiny_config(grid=grid, potential=dict(pot, width=wide))) == []
+
+
 def test_sweep_needs_eps_list():
     cfg = tiny_config()
     assert any("eps_list" in e for e in validate_config(cfg, need_sweep=True))
@@ -436,9 +459,8 @@ def test_effective_writes_the_run_track_compares_against(tmp_path):
                  "--out", str(out)]) == 0
     times = run_spec(cfg).times
     states = evolve_effective(EffectiveState(0.0, build_g0(cfg)),
-                              build_potential(cfg), cfg["eps"], float(times[-1]),
-                              t_eval=times, grid=build_grid(cfg),
-                              rtol=1e-11, atol=1e-13)
+                              build_potential(cfg), cfg["eps"], times,
+                              grid=build_grid(cfg), rtol=1e-11, atol=1e-13)
     want = "t,a,alpha,phi,mu\n" + "".join(
         ",".join("%.17g" % v for v in (s.t, *s.g.as_array())) + "\n"
         for s in states)
@@ -908,8 +930,7 @@ def test_streamed_run_matches_stored_track():
                       cfg["dt"], 1)
     assert len(traj.fields) == traj.times.size == 51
     assert np.array_equal(spec.times, traj.times)
-    eff = evolve_effective(EffectiveState(0.0, g0), b, eps,
-                           float(traj.times[-1]), t_eval=traj.times,
+    eff = evolve_effective(EffectiveState(0.0, g0), b, eps, traj.times,
                            grid=grid, rtol=1e-11, atol=1e-13)
     assert [s.t for s in eff] == list(traj.times)
     want = track(traj, b, eps, eff, g0=g0)

@@ -19,6 +19,7 @@ from szego_lab.soliton_manifold import (
     soliton_profile,
 )
 from szego_lab.dynamics import EffectiveState, evolve_effective, evolve_pde
+from szego_lab.cli import _emit_tracked
 from szego_lab.decomposition import (
     Decomposition,
     _residual_and_jacobian,
@@ -231,7 +232,7 @@ def short_tracked_run():
     g0 = GroupElement(-3.0, 1.0, 0.0, 3.0)
     u0 = soliton_profile(g0, grid)
     traj = evolve_pde(u0, GAUSS, 1e-2, t_final=1.0, dt=5e-4, stride=100)
-    eff = evolve_effective(EffectiveState(0.0, g0), GAUSS, 1e-2, 1.0,
+    eff = evolve_effective(EffectiveState(0.0, g0), GAUSS, 1e-2,
                            t_eval=np.asarray(traj.times), grid=grid)
     report = track(traj, GAUSS, 1e-2, effective_trajectory=eff, g0=g0)
     return grid, traj, eff, report
@@ -321,9 +322,8 @@ def test_tracker_makes_no_full_length_complex_exponential(monkeypatch):
 
 def test_track_csv_format(short_tracked_run, tmp_path):
     _, _, _, report = short_tracked_run
-    target = tmp_path / "track.csv"
-    report.to_csv(target)
-    text = target.read_text()
+    _emit_tracked(report, theorem_metrics(report, 1e-2, 0.35), str(tmp_path), False)
+    text = (tmp_path / "track.csv").read_text()
     header = text.splitlines()[0]
     assert header.startswith("t,a,alpha,phi,mu,w_h12,x_norm")
     assert "da,dalpha,dphi,dmu" in header

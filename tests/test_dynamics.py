@@ -478,16 +478,14 @@ def test_flow_conserves_mass_energy_and_free_momentum(seed):
 
 
 def test_effective_rhs_continuum_free_rates():
-    s = EffectiveState(0.0, GroupElement(2.0, 1.3, 0.1, 0.7))
-    rates = effective_rhs(s, GAUSS, 0.0)
+    rates = effective_rhs(GroupElement(2.0, 1.3, 0.1, 0.7), GAUSS, 0.0)
     al, mu = 1.3, 0.7
     assert_allclose(rates, [al**2 * mu / 2, 0.0, -(al**2) * mu**2 / 4, 0.0],
                     atol=1e-15)
 
 
 def test_effective_rhs_grid_free_rates(grid):
-    s = EffectiveState(0.0, GroupElement(2.0, 1.3, 0.1, 0.7))
-    rates = effective_rhs(s, GAUSS, 0.0, grid)
+    rates = effective_rhs(GroupElement(2.0, 1.3, 0.1, 0.7), GAUSS, 0.0, grid)
     c = family_drift_rate(1.3, 0.7, grid)
     assert_allclose(rates, [c, 0.0, -c**2 / 1.3**2, 0.0], atol=1e-15)
 
@@ -498,15 +496,14 @@ def test_parameter_flow_is_stationary_for_x(grid):
     for _ in range(10):
         g = GroupElement(rg.uniform(-5, 5), rg.uniform(0.7, 1.4),
                          rg.uniform(-3, 3), rg.uniform(0.5, 2.0))
-        s = EffectiveState(0.0, g)
-        rates = effective_rhs(s, GAUSS, 1e-2, grid)
+        rates = effective_rhs(g, GAUSS, 1e-2, grid)
         X = x_vector(g, rates, GAUSS, 1e-2, grid=grid)
         assert X.norm() < 1e-12
 
 
 def test_continuum_effective_flow_conserves_alpha2mu():
     s0 = EffectiveState(0.0, GroupElement(-3.0, 1.0, 0.0, 3.0))
-    states = evolve_effective(s0, GAUSS, 1e-2, 5.0, t_eval=np.linspace(0, 5, 11))
+    states = evolve_effective(s0, GAUSS, 1e-2, t_eval=np.linspace(0, 5, 11))
     inv0 = s0.g.alpha**2 * s0.g.mu
     worst = max(abs(s.g.alpha**2 * s.g.mu - inv0) / inv0 for s in states)
     assert worst < 1e-9
@@ -514,8 +511,8 @@ def test_continuum_effective_flow_conserves_alpha2mu():
 
 def test_grid_effective_flow_conserves_family_mass(grid):
     s0 = EffectiveState(0.0, GroupElement(-3.0, 1.0, 0.0, 3.0))
-    states = evolve_effective(s0, GAUSS, 1e-2, 5.0,
-                              t_eval=np.linspace(0, 5, 11), grid=grid)
+    states = evolve_effective(s0, GAUSS, 1e-2, t_eval=np.linspace(0, 5, 11),
+                              grid=grid)
     inv0 = s0.g.alpha**2 * family_mass_constant(s0.g.mu, grid)
     worst = max(
         abs(s.g.alpha**2 * family_mass_constant(s.g.mu, grid) - inv0) / inv0
@@ -524,11 +521,12 @@ def test_grid_effective_flow_conserves_family_mass(grid):
     assert worst < 1e-9
 
 
-def test_effective_flow_matches_free_flow_without_potential(grid):
+@pytest.mark.parametrize("route", ["continuum", "grid"])
+def test_effective_flow_matches_free_flow_without_potential(route, grid):
+    on = grid if route == "grid" else None
     s0 = EffectiveState(0.0, GroupElement(1.0, 1.2, 0.5, 2.0))
-    states = evolve_effective(s0, GAUSS, 0.0, 3.0,
-                              t_eval=np.array([0.0, 3.0]), grid=grid)
-    ref = free_flow(s0.g, 3.0, grid)
+    states = evolve_effective(s0, GAUSS, 0.0, t_eval=np.array([0.0, 3.0]), grid=on)
+    ref = free_flow(s0.g, 3.0, on)
     got = states[-1].g
     assert_allclose([got.a, got.alpha, got.phi, got.mu],
                     [ref.a, ref.alpha, ref.phi, ref.mu], rtol=1e-9, atol=1e-9)
@@ -541,8 +539,8 @@ def _transit_case():
     cfg = json.loads((Path(__file__).resolve().parents[1] / "configs"
                       / "transit.json").read_text())
     spec = run_spec(cfg)
-    return (spec.g0, spec.potential, spec.eps, float(spec.times[-1]),
-            spec.times, spec.grid, 1e-11, 1e-13)
+    return (spec.g0, spec.potential, spec.eps, spec.times, spec.grid,
+            1e-11, 1e-13)
 
 
 @pytest.mark.parametrize("case", ["transit", "continuum", "grid", "free"])
@@ -551,22 +549,21 @@ def test_rk45_reproduces_solve_ivp(case, grid, monkeypatch):
     # same number of right-hand-side evaluations
     g0 = GroupElement(-3.0, 1.0, 0.0, 3.0)
     t11 = np.linspace(0, 5, 11)
-    g0, b, eps, t_final, t_eval, on, rtol, atol = {
+    g0, b, eps, t_eval, on, rtol, atol = {
         "transit": _transit_case,
-        "continuum": lambda: (g0, GAUSS, 1e-2, 5.0, t11, None, 1e-10, 1e-12),
-        "grid": lambda: (g0, GAUSS, 1e-2, 5.0, t11, grid, 1e-10, 1e-12),
-        "free": lambda: (GroupElement(1.0, 1.2, 0.5, 2.0), GAUSS, 0.0, 3.0,
+        "continuum": lambda: (g0, GAUSS, 1e-2, t11, None, 1e-10, 1e-12),
+        "grid": lambda: (g0, GAUSS, 1e-2, t11, grid, 1e-10, 1e-12),
+        "free": lambda: (GroupElement(1.0, 1.2, 0.5, 2.0), GAUSS, 0.0,
                          np.array([0.0, 3.0]), grid, 1e-10, 1e-12),
     }[case]()
     calls = []
     monkeypatch.setattr(dynamics, "effective_rhs",
                         lambda *a: calls.append(1) or effective_rhs(*a))
-    states = evolve_effective(EffectiveState(0.0, g0), b, eps, t_final,
-                              t_eval=t_eval, grid=on, rtol=rtol, atol=atol)
-    sol = solve_ivp(lambda t, y: effective_rhs(EffectiveState(t, GroupElement(*y)),
-                                               b, eps, on),
-                    (0.0, t_final), g0.as_array(), method="RK45", t_eval=t_eval,
-                    rtol=rtol, atol=atol)
+    states = evolve_effective(EffectiveState(0.0, g0), b, eps, t_eval, grid=on,
+                              rtol=rtol, atol=atol)
+    sol = solve_ivp(lambda t, y: effective_rhs(GroupElement(*y), b, eps, on),
+                    (0.0, t_eval[-1]), g0.as_array(), method="RK45",
+                    t_eval=t_eval, rtol=rtol, atol=atol)
     assert sol.success and sol.t.size == t_eval.size
     assert np.array_equal([s.t for s in states], sol.t)
     assert np.array_equal(np.array([s.g.as_array() for s in states]).T, sol.y)
@@ -589,11 +586,13 @@ def test_evolve_effective_reports_non_finite_state_as_failed_integration(monkeyp
     monkeypatch.setattr(dynamics, "effective_rhs", lambda *a: np.full(4, np.nan))
     with pytest.raises(RuntimeError, match="non-finite state at t="):
         evolve_effective(EffectiveState(0.0, GroupElement(-3.0, 1.0, 0.0, 3.0)),
-                         GAUSS, 1e-2, 1.0, t_eval=[0.0, 1.0])
+                         GAUSS, 1e-2, t_eval=[0.0, 1.0])
 
 
-@pytest.mark.parametrize("t_final, t_eval", [(0.0, [0.0]), (1.0, [0.0, 1.5])])
-def test_evolve_effective_rejects_empty_interval_or_outside_samples(t_final, t_eval):
-    with pytest.raises(ValueError, match="t_final > 0"):
+@pytest.mark.parametrize("t_eval", [[0.0], [-0.5, 1.0]], ids=["empty", "early"])
+def test_evolve_effective_rejects_empty_interval_or_outside_samples(t_eval):
+    # the horizon is the last sample time: it must lie after s0.t, and no
+    # sample may lie before s0.t
+    with pytest.raises(ValueError, match=r"t_eval\[-1\] > s0.t"):
         evolve_effective(EffectiveState(0.0, GroupElement(-3.0, 1.0, 0.0, 3.0)),
-                         GAUSS, 1e-2, t_final, t_eval=t_eval)
+                         GAUSS, 1e-2, t_eval=t_eval)
