@@ -114,10 +114,10 @@ class Suite:
     def transit(self) -> tuple:
         """The transit's trajectory and the report of the Tracker its
         samples stream into, as in cli._run_tracked: no field is kept."""
-        tracker = Tracker(self.grid, _TRANSIT_G0)
+        tracker = Tracker(self.grid, _GAUSS, 1e-2, _TRANSIT_G0)
         traj = evolve_pde(soliton_profile(_TRANSIT_G0, self.grid), _GAUSS, 1e-2,
                           2.0, 1e-3, 100, on_sample=tracker.add)
-        return traj, tracker.report(_GAUSS, 1e-2)
+        return traj, tracker.report()
 
 
 def _ranks_as_number(grid: SpectralGrid) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import math
 import os
@@ -430,36 +431,38 @@ def _spare_cpu() -> bool:
 
 def _consume(spec: RunSpec, fd: int):
     """The forked consumer's work: Tracker.add of each sample read from
-    the pipe fd into one reused buffer, at spec's sample times, the ones
-    evolve_pde takes the samples at, until the run ends and the pipe
-    closes; then it yields the Tracker, or the exception add raised.  A
-    failed add closes fd at once, so the CLI's next sample write fails."""
-    tracker = Tracker(spec.grid, spec.g0)
+    the pipe fd, at spec's sample times, the ones evolve_pde takes the
+    samples at, until the run ends and the pipe closes; then it yields the
+    Tracker's record(), or the exception add raised.  Each sample is a
+    field of its own over one reused buffer, so values a sink derives from
+    it are that sample's.  A failed add closes fd at once, so the CLI's
+    next sample write fails."""
+    tracker = Tracker(spec.grid, spec.potential, spec.eps, spec.g0)
     bins = np.empty(spec.grid.n_points // 2, dtype=complex)
-    u = HardyField(spec.grid, _spectrum=bins)
-    result = tracker
+    failed = None
     with open(fd, "rb") as pipe:
         for t in spec.times:
             if pipe.readinto(bins) < bins.nbytes:    # the PDE stopped
                 break
             try:
-                tracker.add(float(t), u)
+                tracker.add(float(t), HardyField(spec.grid, _spectrum=bins))
             except Exception as exc:   # the CLI raises it once the PDE stops
-                result = exc
+                failed = exc
                 break
-    yield result
+    yield tracker.record() if failed is None else failed
 
 
 def _decompose_in_consumer(spec: RunSpec):
     """_run_pde(spec, ...) while a forked consumer runs Tracker.add on each
-    sample (_consume); returns the PDE trajectory and the consumer's
-    Tracker.  Only a sample's bins cross the pipe, as raw bytes, and a
-    default pipe holds 64 KiB, the bins of one sample at n = 8192: there
-    the PDE writes a sample without waiting whenever the consumer has
-    read the one before, and stops within a sample or two of a failed
-    decomposition.  The consumer's exception is raised in place of
-    whatever else stopped the PDE, since it came from an earlier sample;
-    a consumer that sent nothing is named by its signal or exit status."""
+    sample (_consume); returns the PDE trajectory and a Tracker that has
+    loaded the consumer's record.  Only a sample's bins cross the pipe, as
+    raw bytes, and a default pipe holds 64 KiB, the bins of one sample at
+    n = 8192: there the PDE writes a sample without waiting whenever the
+    consumer has read the one before, and stops within a sample or two of
+    a failed decomposition.  The consumer's exception is raised in place
+    of whatever else stopped the PDE, since it came from an earlier
+    sample; a consumer that sent nothing is named by its signal or exit
+    status."""
     samples_r, samples_w = os.pipe()
     with _reaping() as children:
         _fork(children, _consume(spec, samples_r), samples_w)
@@ -481,7 +484,9 @@ def _decompose_in_consumer(spec: RunSpec):
     if not sent or traj is None:
         raise RuntimeError(f"decomposition consumer {how} "
                            "before it sent the whole run's decompositions")
-    return traj, sent[0]
+    tracker = Tracker(spec.grid, spec.potential, spec.eps, spec.g0)
+    tracker.load(sent[0])
+    return traj, tracker
 
 
 def _run_tracked(cfg: dict, consumer: bool = False):
@@ -497,9 +502,9 @@ def _run_tracked(cfg: dict, consumer: bool = False):
     if consumer:
         traj, tracker = _decompose_in_consumer(spec)
     else:
-        tracker = Tracker(spec.grid, spec.g0)
+        tracker = Tracker(spec.grid, spec.potential, spec.eps, spec.g0)
         traj = _run_pde(spec, tracker.add)
-    report = tracker.report(spec.potential, spec.eps, eff)
+    report = tracker.report(eff)
     metrics = theorem_metrics(report, spec.eps, spec.delta)
     metrics["mass_drift"] = traj.mass_drift
     metrics["hamiltonian_drift"] = traj.hamiltonian_drift
@@ -715,5 +720,18 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry() -> int:
+    """The command line, `python -m szego_lab.cli` and the szego-lab
+    script: main() on sys.argv, once the heap the imports left is
+    collected and frozen.  Frozen objects are left out of every later
+    collection, in this process and in the children it forks, and out of
+    the ones at interpreter exit; collecting first keeps the garbage of
+    the imports out of the frozen heap.  main() called from Python does
+    not freeze, so a caller's heap is still collected."""
+    gc.collect()
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

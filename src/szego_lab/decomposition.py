@@ -243,54 +243,68 @@ class TrackReport:
         return np.array([g.as_array() for g in self.g_series])
 
 
-def _gdot_series(times: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """Fourth-order differences of the parameter series.
+def _stencil_end(times: np.ndarray) -> tuple:
+    """(last, h) of a whole series for _gdot_row: h its first interval, and
+    `last` n when the series is uniform, n - 1 when its final interval is
+    not h (the last sample of a run whose horizon is off the stride); 0 for
+    a series too short for any stencil."""
+    n = times.size
+    if n < 3:
+        return 0, 1.0
+    h = float(times[1] - times[0])
+    uniform = np.allclose(np.diff(times), h, rtol=0, atol=1e-12 * max(h, 1.0))
+    return (n if uniform else n - 1), h
+
+
+def _gdot_row(params, k: int, last: int, h: float) -> np.ndarray:
+    """Row k of the fourth-order differences of the parameter rows params
+    at spacing h, over a series whose stencils end at `last` (_stencil_end).
 
     Centered five-point stencils inside, offset five-point stencils at
-    the two samples next to the ends (uniform O(h^4) error keeps the
+    the two rows next to the ends (uniform O(h^4) error keeps the
     defect quotient from being polluted right where the remainder is
     still small), NaN at the endpoints themselves.  Three-point
     fallback only when the series is too short for any five-point rule.
+    The row only reads `last` through these choices, so row 1 is settled
+    once last >= 5 and row k >= 2 once last >= k + 3, however the
+    series goes on.
     """
-    n = times.size
-    out = np.full((n, 4), np.nan)
-    if n < 3:
-        return out
-    h = float(times[1] - times[0])
-    uniform = np.allclose(np.diff(times), h, rtol=0, atol=1e-12 * max(h, 1.0))
-    last = n if uniform else n - 1
-    for k in range(1, last - 1):
-        if 2 <= k <= last - 3:
-            out[k] = (params[k - 2] - 8.0 * params[k - 1]
-                      + 8.0 * params[k + 1] - params[k + 2]) / (12.0 * h)
-        elif k == 1 and last >= 5:
-            out[k] = (-3.0 * params[0] - 10.0 * params[1] + 18.0 * params[2]
-                      - 6.0 * params[3] + params[4]) / (12.0 * h)
-        elif k == last - 2 and last >= 5:
-            out[k] = (-params[k - 3] + 6.0 * params[k - 2]
-                      - 18.0 * params[k - 1] + 10.0 * params[k]
-                      + 3.0 * params[k + 1]) / (12.0 * h)
-        else:
-            out[k] = (params[k + 1] - params[k - 1]) / (2.0 * h)
-    out[0] = np.nan
-    out[last - 1:] = np.nan
-    return out
+    if k == 0 or k >= last - 1:
+        return np.full(4, np.nan)
+    if 2 <= k <= last - 3:
+        return (params[k - 2] - 8.0 * params[k - 1]
+                + 8.0 * params[k + 1] - params[k + 2]) / (12.0 * h)
+    if k == 1 and last >= 5:
+        return (-3.0 * params[0] - 10.0 * params[1] + 18.0 * params[2]
+                - 6.0 * params[3] + params[4]) / (12.0 * h)
+    if k == last - 2 and last >= 5:
+        return (-params[k - 3] + 6.0 * params[k - 2]
+                - 18.0 * params[k - 1] + 10.0 * params[k]
+                + 3.0 * params[k + 1]) / (12.0 * h)
+    return (params[k + 1] - params[k - 1]) / (2.0 * h)
 
 
 class Tracker:
     """Incremental form of track: add(t, u) decomposes one sample's
     spectrum as it is made and keeps only its parameters and norms, so a
     streamed run (evolve_pde with on_sample=tracker.add) holds no fields
-    and never builds their values; report() then measures the run.
+    and never builds their values.  add also measures the defect ||X||
+    of every row whose stencil is settled, three samples behind the
+    newest (_gdot_row); report() measures the last rows and assembles
+    the run.
     """
 
-    def __init__(self, grid: SpectralGrid, g0: GroupElement = None):
-        self.grid = grid
+    def __init__(self, grid: SpectralGrid, b: PotentialSpec, eps: float,
+                 g0: GroupElement = None):
+        self.grid, self.b, self.eps = grid, b, eps
         self.g0 = g0 if g0 is not None else GroupElement(0.0, 1.0, 0.0, 1.0)
         self.rows = []      # (t, g, |w|_L2, |w|_H12, Newton iterations, mass residual)
+        self.params = []    # g.as_array() of each row
+        self.x_norm = []    # ||X|| of the leading rows whose stencil is settled
         self.m0 = None
 
     def add(self, t: float, u: HardyField) -> None:
+        t = float(t)
         if self.rows:
             t_prev, g_prev = self.rows[-1][:2]
             # the free rates; the O(eps dt) error is far inside the Newton basin
@@ -306,25 +320,54 @@ class Tracker:
         fam = g.alpha**2 * family_mass_constant(g.mu, self.grid)
         m_res = abs(g.alpha**2 * g.mu * l2**2 + fam - self.m0) / self.m0
         self.rows.append((t, g, l2, h12, it, m_res))
+        self.params.append(g.as_array())
+        n = len(self.rows)
+        if n >= 6:   # the series ends at n - 1 or later: rows < n - 3 are settled
+            h = self.rows[1][0] - self.rows[0][0]
+            while len(self.x_norm) < n - 3:
+                self.x_norm.append(self._defect(len(self.x_norm), n - 1, h))
 
-    def report(self, b: PotentialSpec, eps: float,
-               effective_trajectory=None) -> TrackReport:
+    def _defect(self, k: int, last: int, h: float) -> float:
+        """||X|| of row k, from its _gdot_row; NaN where that is not finite."""
+        gdot = _gdot_row(self.params, k, last, h)
+        if not np.all(np.isfinite(gdot)):
+            return math.nan
+        return x_vector(self.rows[k][1], gdot, self.b, self.eps,
+                        grid=self.grid).norm()
+
+    def record(self) -> tuple:
+        """The rows and the settled ||X|| as arrays, for load(): what a
+        forked consumer sends, about half the bytes of the rows' tuples
+        of GroupElements."""
+        t, l2, h12, it, m_res = (np.array([row[j] for row in self.rows])
+                                 for j in (0, 2, 3, 4, 5))
+        return (t, np.array(self.params).reshape(-1, 4), l2, h12, it, m_res,
+                np.array(self.x_norm), self.m0)
+
+    def load(self, record: tuple) -> None:
+        """Take on the rows of another Tracker's record(), in place of this
+        one's."""
+        t, P, l2, h12, it, m_res, x_norm, self.m0 = record
+        self.rows = [(tk, GroupElement(*p), *rest) for tk, p, *rest in zip(
+            t.tolist(), P.tolist(), l2.tolist(), h12.tolist(), it.tolist(),
+            m_res.tolist())]
+        self.params = list(P)
+        self.x_norm = x_norm.tolist()
+
+    def report(self, effective_trajectory=None) -> TrackReport:
         """The defect ||X|| from differenced parameter velocities,
         deviations against an effective run sampled at the same times,
         and the mu window."""
-        grid = self.grid
         t, g_series, wl2, wh12, iters, m_res = (list(c) for c in zip(*self.rows))
         times = np.array(t, dtype=float)
         n = times.size
-        P = np.array([g.as_array() for g in g_series])
+        P = np.array(self.params)
         mu0 = P[0, 3]
         mu_ok = bool(np.all((P[:, 3] >= mu0 / 2.0) & (P[:, 3] <= 1.5 * mu0)))
 
-        gdot = _gdot_series(times, P)
-        x_norm = np.full(n, np.nan)
-        for k in range(n):
-            if np.all(np.isfinite(gdot[k])):
-                x_norm[k] = x_vector(g_series[k], gdot[k], b, eps, grid=grid).norm()
+        last, h = _stencil_end(times)
+        x_norm = np.array(self.x_norm + [self._defect(k, last, h)
+                                         for k in range(len(self.x_norm), n)])
 
         deviations = None
         if effective_trajectory is not None:
@@ -346,10 +389,10 @@ def track(pde_trajectory: PdeTrajectory, b: PotentialSpec, eps: float,
     effective-run comparison, and the family mass identity.  A Tracker
     fed the stored samples in order.
     """
-    tracker = Tracker(pde_trajectory.grid, g0)
+    tracker = Tracker(pde_trajectory.grid, b, eps, g0)
     for t, u in zip(pde_trajectory.times, pde_trajectory.fields):
         tracker.add(float(t), u)
-    return tracker.report(b, eps, effective_trajectory)
+    return tracker.report(effective_trajectory)
 
 
 _DEVIATION_POWERS = {

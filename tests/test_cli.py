@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import importlib.util
 import json
 import math
@@ -35,6 +36,7 @@ from szego_lab.dynamics import (
     evolve_pde,
 )
 from szego_lab.soliton_manifold import soliton_profile
+from szego_lab.spectral_core import from_spectrum
 
 
 def tiny_config(**overrides):
@@ -802,6 +804,43 @@ def test_track_writes_the_same_with_and_without_the_consumer(tmp_path, monkeypat
     assert_reaped(forks, 1)
 
 
+def test_each_consumer_sample_is_a_field_of_its_own(tmp_path, monkeypatch, forks):
+    # a sink that reads a sample's values gets that sample's, not the
+    # values the first sample cached
+    class ReadsValues(cli.Tracker):
+        def add(self, t, u):
+            if not np.array_equal(u.values, from_spectrum(self.grid, u.spectrum)):
+                raise ValueError(f"t = {t:.6g}: stale values")
+            super().add(t, u)
+
+    monkeypatch.setattr(cli, "Tracker", ReadsValues)
+    monkeypatch.setattr(cli, "_spare_cpu", lambda: True)
+    path = write_config(tmp_path, tiny_config(
+        stride=1, t_final={"policy": "fixed", "value": 0.01}))
+    assert main(["track", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert_reaped(forks, 1)
+
+
+def test_the_consumer_record_pickles_small(tmp_path, monkeypatch, forks):
+    # what a 401-sample consumer sends: about 58 KB as a pickled Tracker
+    # of (t, GroupElement, ...) rows, about 32 KB as the record's arrays
+    real, sent = cli._read, []
+
+    def keep(children):
+        got = real(children)
+        sent.extend(got[0])
+        return got
+
+    monkeypatch.setattr(cli, "_read", keep)
+    monkeypatch.setattr(cli, "_spare_cpu", lambda: True)
+    path = write_config(tmp_path, tiny_config(
+        stride=1, t_final={"policy": "fixed", "value": 0.4}))
+    assert main(["track", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert len((tmp_path / "o" / "track.csv").read_text().splitlines()) == 402
+    assert len(sent) == 1 and len(pickle.dumps(sent[0])) < 40 * 1024
+    assert_reaped(forks, 1)
+
+
 def _transit_config(tmp_path, value):
     # n = 8192, so a sample is about as large as a default pipe
     cfg = json.loads((Path(__file__).resolve().parents[1] / "configs"
@@ -1067,3 +1106,43 @@ def test_benchmark_tracer_records_a_tiny_track_run(tmp_path):
     assert metrics["spectral_core.transform_calls"] > 0
     assert metrics["dynamics.steps"] == 200
     assert (out / "metrics.json").is_file()
+
+
+# ------------------------------------------------------ the command-line entry
+
+
+def test_main_in_process_freezes_nothing(tmp_path):
+    # only the command-line entry freezes the heap: a caller of main(),
+    # this test suite among them, still has its garbage collected
+    before = gc.get_freeze_count()
+    assert main(["track", "--config", write_config(tmp_path, tiny_config()),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_the_command_line_writes_what_main_writes(tmp_path):
+    # `python -m szego_lab.cli` and the szego-lab script run one entry,
+    # which freezes the import heap and then writes what main() writes
+    root = Path(__file__).resolve().parents[1]
+    assert re.search(r'^szego-lab = "szego_lab\.cli:entry"$',
+                     (root / "pyproject.toml").read_text(), re.M)
+    path = write_config(tmp_path, tiny_config(stride=1))
+    assert main(["track", "--plots", "--config", path,
+                 "--out", str(tmp_path / "main")]) == 0
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    argv = ["track", "--plots", "--config", path, "--out", str(tmp_path / "cli")]
+    done = subprocess.run([sys.executable, "-m", "szego_lab.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    names = sorted(p.name for p in (tmp_path / "main").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "cli").iterdir())
+    for name in names:
+        assert (tmp_path / "cli" / name).read_bytes() \
+            == (tmp_path / "main" / name).read_bytes(), name
+    script = ("import gc, sys\nfrom szego_lab import cli\n"
+              f"sys.argv[1:] = {argv!r}\n"
+              "code = cli.entry()\nprint(code, gc.get_freeze_count() > 0)")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-2:] == ["0", "True"]

@@ -313,10 +313,10 @@ def test_tracker_makes_no_full_length_complex_exponential(monkeypatch):
         return exp(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "exp", counting_exp)
-    tracker = Tracker(grid, g0)
+    tracker = Tracker(grid, GAUSS, 1e-2, g0)
     for t, u in zip(traj.times, traj.fields):
         tracker.add(float(t), u)
-    tracker.report(GAUSS, 1e-2)
+    tracker.report()
     assert sizes and max(sizes) <= 2 * np.sqrt(grid.n_points // 2)
 
 
@@ -338,6 +338,78 @@ def test_params_accessor(short_tracked_run):
     P = report.params()
     assert P.shape == (len(report.times), 4)
     assert_allclose(P[0], [-3.0, 1.0, 0.0, 3.0], atol=1e-9)
+
+
+# ------------------------------------------------------ the streamed defect
+
+
+def _gdot_series(times: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """Reference: the whole-series differences Tracker.report took before
+    the defect was streamed, one loop over the finished series."""
+    n = times.size
+    out = np.full((n, 4), np.nan)
+    if n < 3:
+        return out
+    h = float(times[1] - times[0])
+    uniform = np.allclose(np.diff(times), h, rtol=0, atol=1e-12 * max(h, 1.0))
+    last = n if uniform else n - 1
+    for k in range(1, last - 1):
+        if 2 <= k <= last - 3:
+            out[k] = (params[k - 2] - 8.0 * params[k - 1]
+                      + 8.0 * params[k + 1] - params[k + 2]) / (12.0 * h)
+        elif k == 1 and last >= 5:
+            out[k] = (-3.0 * params[0] - 10.0 * params[1] + 18.0 * params[2]
+                      - 6.0 * params[3] + params[4]) / (12.0 * h)
+        elif k == last - 2 and last >= 5:
+            out[k] = (-params[k - 3] + 6.0 * params[k - 2]
+                      - 18.0 * params[k - 1] + 10.0 * params[k]
+                      + 3.0 * params[k + 1]) / (12.0 * h)
+        else:
+            out[k] = (params[k + 1] - params[k - 1]) / (2.0 * h)
+    out[0] = np.nan
+    out[last - 1:] = np.nan
+    return out
+
+
+@pytest.fixture(scope="module")
+def stride_1_run():
+    # 100 steps of dt = 1e-3 on a coarse grid, every step a stored sample
+    grid = SpectralGrid(2048, 128.0)
+    g0 = GroupElement(-3.0, 1.0, 0.0, 3.0)
+    traj = evolve_pde(soliton_profile(g0, grid), GAUSS, 1e-2, t_final=0.1,
+                      dt=1e-3, stride=1)
+    return grid, g0, traj
+
+
+@pytest.mark.parametrize("steps", [
+    range(0, 101, 4),                    # uniform
+    [*range(0, 100, 7), 100],            # stride 7: a short final interval
+    *(range(k) for k in (3, 4, 5, 6, 7)),  # three-point and offset stencils
+], ids=["uniform", "stride7", "n3", "n4", "n5", "n6", "n7"])
+def test_streamed_defect_is_the_batch_defect(stride_1_run, steps):
+    # the rows add settles and those report finishes are bitwise the
+    # batch differences' ||X||, NaN rows included; a Tracker that is never
+    # reported holds every row but the last three once it has 6 samples
+    grid, g0, traj = stride_1_run
+    eps = 1e-2
+    tracker = Tracker(grid, GAUSS, eps, g0)
+    for k in steps:
+        tracker.add(float(traj.times[k]), traj.fields[k])
+    n = len(tracker.rows)
+    times = np.array([row[0] for row in tracker.rows])
+    gs = [row[1] for row in tracker.rows]
+    gdot = _gdot_series(times, np.array([g.as_array() for g in gs]))
+    want = np.full(n, np.nan)
+    for k in range(n):
+        if np.all(np.isfinite(gdot[k])):
+            want[k] = x_vector(gs[k], gdot[k], GAUSS, eps, grid=grid).norm()
+    settled = n - 3 if n >= 6 else 0
+    assert len(tracker.x_norm) == settled
+    assert np.array_equal(tracker.x_norm, want[:settled], equal_nan=True)
+    got = tracker.report().x_norm
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(got[0]) and np.isnan(got[-1])
+    assert np.all(np.isfinite(got[1:-2]))
 
 
 # --------------------------------------------------------------- the metrics
