@@ -45,17 +45,9 @@ from .decomposition import (
 )
 from . import plots
 
-_POTENTIAL_KINDS = ("gaussian", "sech2", "constant", "table")
 # largest share of its value at xi = 0 that the soliton's spectrum or the
 # potential's transform may keep at the top grid bin
 SPECTRAL_TAIL_MAX = 1e-6
-# defaults of the optional config keys dt, stride, delta and t_final.c0_fit
-DT, STRIDE, DELTA, C0_FIT = 5e-4, 100, 0.35, 32.0
-
-
-def _check(errors, path, ok, message):
-    if not ok:
-        errors.append(f"{path}: {message}")
 
 
 def _real(v) -> bool:
@@ -64,139 +56,154 @@ def _real(v) -> bool:
         and abs(v) <= sys.float_info.max
 
 
-def _section(errors, cfg: dict, key: str) -> dict:
-    """cfg[key] when it is an object, else {} and an error if present."""
-    sec = cfg.get(key, {})
-    _check(errors, key, isinstance(sec, dict), "must be a JSON object")
-    return sec if isinstance(sec, dict) else {}
+def _positive(v) -> bool:
+    return _real(v) and v > 0
+
+
+# One row per config key that every run reads: (path, default, check, message);
+# a default of None marks a required key.  validate_config checks the value
+# _settings resolves for each row, so a key given is checked whatever reads it.
+SETTINGS = (
+    ("grid.n", None, lambda v: type(v) is int and v >= 16 and v & (v - 1) == 0,
+     "n must be a power-of-two integer >= 16"),
+    ("grid.L", None, _positive, "L must be a positive number"),
+    ("soliton.a0", None, _real, "missing or non-numeric"),
+    ("soliton.alpha0", None, _positive, "missing, non-numeric or not positive"),
+    ("soliton.phi0", None, _real, "missing or non-numeric"),
+    ("soliton.mu0", None, lambda v: _real(v) and MU_MIN <= v <= MU_MAX,
+     f"missing, non-numeric or outside [{MU_MIN:g}, {MU_MAX:g}]"),
+    ("dt", 5e-4, _positive, "must be positive"),
+    ("stride", 100, lambda v: type(v) is int and v >= 1, "must be an integer >= 1"),
+    ("delta", 0.35, lambda v: _real(v) and 0 < v < 0.5,
+     "must lie strictly inside (0, 1/2)"),
+    ("t_final.c0_fit", 32.0, lambda v: _real(v) and v > 1, "must be a number > 1"),
+)
+
+# potential kind -> (its operators constructor, the keys it takes in order)
+POTENTIALS = {
+    "gaussian": (gaussian_potential, ("amplitude", "center", "width")),
+    "sech2": (sech2_potential, ("amplitude", "center", "width")),
+    "constant": (constant_potential, ("value",)),
+    "table": (table_potential, ("x", "values")),
+}
+
+
+def _object(v) -> dict:
+    """v when it is a JSON object, else {}."""
+    return v if isinstance(v, dict) else {}
+
+
+def _settings(cfg: dict) -> dict:
+    """Each SETTINGS row's path -> its value as cfg gives it, the row's
+    default when left out: the one place the defaults are read."""
+    values = {}
+    for path, default, _, _ in SETTINGS:
+        section, _, key = path.rpartition(".")
+        values[path] = _object(cfg.get(section) if section else cfg).get(key, default)
+    return values
 
 
 def validate_config(cfg: dict, need_sweep: bool = False) -> list:
     """Schema check with explicit error paths; returns a list of
     problems (empty when the config is usable)."""
-    e = []
     if not isinstance(cfg, dict):
         return ["<root>: config must be a JSON object"]
-    g = _section(e, cfg, "grid")
-    n = g.get("n")
-    _check(e, "grid.n", type(n) is int and n >= 16 and (n & (n - 1)) == 0,
-           "n must be a power-of-two integer >= 16")
-    _check(e, "grid.L", _real(g.get("L")) and g["L"] > 0,
-           "L must be a positive number")
-    s = _section(e, cfg, "soliton")
-    for key in ("a0", "alpha0", "phi0", "mu0"):
-        _check(e, f"soliton.{key}", _real(s.get(key)), "missing or non-numeric")
-    if _real(s.get("alpha0")):
-        _check(e, "soliton.alpha0", s["alpha0"] > 0, "must be positive")
-    if _real(s.get("mu0")):
-        _check(e, "soliton.mu0", MU_MIN <= s["mu0"] <= MU_MAX,
-               f"must lie in [{MU_MIN:g}, {MU_MAX:g}]")
-    p = _section(e, cfg, "potential")
+    e = [f"{key}: must be a JSON object"
+         for key in ("grid", "soliton", "potential", "t_final")
+         if not isinstance(cfg.get(key, {}), dict)]
+    values = _settings(cfg)
+    e += [f"{path}: {message}"
+          for path, _, check, message in SETTINGS if not check(values[path])]
+    p = _object(cfg.get("potential"))
     kind = p.get("kind")
-    _check(e, "potential.kind", kind in _POTENTIAL_KINDS,
-           f"must be one of {_POTENTIAL_KINDS}")
-    if kind in ("gaussian", "sech2"):
-        for key in ("amplitude", "center", "width"):
-            _check(e, f"potential.{key}", _real(p.get(key)),
-                   "missing or non-numeric")
-        if _real(p.get("width")):
-            _check(e, "potential.width", p["width"] > 0, "must be positive")
-    elif kind == "constant":
-        _check(e, "potential.value", _real(p.get("value")),
-               "missing or non-numeric")
+    if not (isinstance(kind, str) and kind in POTENTIALS):
+        e.append(f"potential.kind: must be one of {tuple(POTENTIALS)}")
     elif kind == "table":
         xs, vs = p.get("x"), p.get("values")
-        ok = isinstance(xs, list) and isinstance(vs, list) \
-            and len(xs) == len(vs) and len(xs) >= 4 and all(map(_real, xs + vs))
-        _check(e, "potential.x/values", ok,
-               "need two equal-length lists of at least 4 finite numbers")
-        if ok:
-            _check(e, "potential.x/values", all(a < b for a, b in zip(xs, xs[1:])),
-                   "x must be strictly increasing")
+        if not (isinstance(xs, list) and isinstance(vs, list) and len(xs) == len(vs)
+                and len(xs) >= 4 and all(map(_real, xs + vs))):
+            e.append("potential.x/values: need two equal-length lists "
+                     "of at least 4 finite numbers")
+        elif not all(a < b for a, b in zip(xs, xs[1:])):
+            e.append("potential.x/values: x must be strictly increasing")
+    else:
+        e += [f"potential.{key}: missing or non-numeric"
+              for key in POTENTIALS[kind][1] if not _real(p.get(key))]
+        if kind != "constant" and _real(p.get("width")) and p["width"] <= 0:
+            e.append("potential.width: must be positive")
     # a sweep member's eps comes from eps_list, checked below
     eps = cfg.get("eps")
-    _check(e, "eps", need_sweep or (_real(eps) and eps >= 0),
-           "must be a number >= 0")
-    dt, stride, delta, c0 = _settings(cfg)
-    _check(e, "delta", _real(delta) and 0 < delta < 0.5,
-           "must lie strictly inside (0, 1/2)")
-    tf = _section(e, cfg, "t_final")
+    if not (need_sweep or (_real(eps) and eps >= 0)):
+        e.append("eps: must be a number >= 0")
+    tf = _object(cfg.get("t_final"))
     policy = tf.get("policy")
-    _check(e, "t_final.policy", policy in ("fixed", "theorem_horizon"),
-           "must be 'fixed' or 'theorem_horizon'")
-    if policy == "fixed":
-        _check(e, "t_final.value", _real(tf.get("value")) and tf["value"] > 0,
-               "must be a positive number")
-    if policy == "theorem_horizon":
-        _check(e, "t_final.c0_fit", _real(c0) and c0 > 1, "must be > 1")
-        _check(e, "eps", need_sweep or (_real(eps) and eps > 0),
-               "theorem_horizon needs eps > 0")
-    _check(e, "dt", _real(dt) and dt > 0, "must be positive")
-    _check(e, "stride", type(stride) is int and stride >= 1,
-           "must be an integer >= 1")
+    if policy not in ("fixed", "theorem_horizon"):
+        e.append("t_final.policy: must be 'fixed' or 'theorem_horizon'")
+    if policy == "fixed" and not _positive(tf.get("value")):
+        e.append("t_final.value: must be a positive number")
+    if policy == "theorem_horizon" and not (need_sweep or _positive(eps)):
+        e.append("eps: theorem_horizon needs eps > 0")
     if need_sweep:
         el = cfg.get("eps_list")
         if not (isinstance(el, list) and len(el) >= 3
-                and all(_real(v) and v > 0 for v in el)):
+                and all(_positive(v) for v in el)):
             e.append("eps_list: sweep needs at least 3 positive eps values")
         else:
             r = [el[i] / el[i + 1] for i in range(len(el) - 1)]
-            _check(e, "eps_list", min(r) > 1 and max(r) / min(r) < 1 + 1e-9,
-                   "values must be distinct, decreasing and geometrically spaced")
-            _check(e, "eps_list", len({_member_dir(v) for v in el}) == len(set(el)),
-                   "values must differ within 6 significant digits, the "
-                   "precision of each member's output directory eps_<value>")
-    if not e:
-        # every sweep member runs to the horizon of its own eps; a fixed
-        # horizon is the same for all of them, so it is checked once
-        eps_values = cfg["eps_list"] if need_sweep else [eps]
-        longest = 0.0
-        for v in eps_values if policy == "theorem_horizon" else eps_values[:1]:
-            T, steps = horizon(tf, v, delta, c0, dt)
-            _check(e, "t_final", steps >= 1, f"horizon {T:.6g} at eps = {v:g} "
-                   "must hold one to finitely many dt steps")
-            longest = max(longest, steps * dt)
-        # the soliton spectrum decays as exp(-xi/mu0); a tail the grid
-        # cuts off is a member it cannot represent
-        xi_max = 2 * math.pi * (n // 2 - 1) / g["L"]
-        tail = math.exp(-xi_max / s["mu0"])
-        _check(e, "soliton.mu0", tail <= SPECTRAL_TAIL_MAX,
-               f"spectral tail exp(-xi_max/mu0) = {tail:.2g} at the top grid "
-               f"bin exceeds {SPECTRAL_TAIL_MAX:g}; the grid does not resolve "
-               "this scale (raise grid.n, or lower grid.L or mu0)")
-        if kind in ("gaussian", "sech2"):
-            # the transform at xi_max over its value at 0: exp(-z^2) for the
-            # Gaussian and x / sinh x, x = pi z, for sech2, z = xi_max width / 2
-            z = 0.5 * xi_max * p["width"]
-            x = math.pi * z
-            tail = math.exp(-z * z) if kind == "gaussian" \
-                else (x / math.sinh(x) if x < 700 else 0.0)
-            _check(e, "potential.width", tail <= SPECTRAL_TAIL_MAX,
-                   f"the {kind}'s transform at the top grid bin is {tail:.2g} "
-                   f"of its value at 0, above {SPECTRAL_TAIL_MAX:g}; the grid "
-                   "does not resolve this width (raise grid.n, or lower grid.L, "
-                   "or widen the potential)")
-    if not e:
-        # the free soliton must stay 10/mu0 clear of the box edge +-L/2 from
-        # a0 to a0 + c T (c the discrete-family drift rate, T the longest
-        # run horizon), or it wraps round the periodic box
-        half, margin = 0.5 * g["L"], 10.0 / s["mu0"]
-        end = free_flow(build_g0(cfg), longest, build_grid(cfg)).a
-        for a, where in ((s["a0"], f"starts at a = {s['a0']:.6g}"),
-                         (end, f"reaches a = {end:.6g} at t = {longest:.6g}")):
-            _check(e, "soliton.a0", abs(a) <= half - margin,
-                   f"the free soliton {where}, not 10/mu0 = {margin:.3g} "
-                   f"clear of the box edge +-{half:g}; it would wrap round "
-                   "the periodic box (raise grid.L or shorten t_final)")
-    return e
-
-
-def _settings(cfg: dict) -> tuple:
-    """dt, stride, delta and t_final.c0_fit as cfg gives them, each its
-    default when left out: the one place the defaults are read."""
-    tf = cfg.get("t_final")
-    return (cfg.get("dt", DT), cfg.get("stride", STRIDE), cfg.get("delta", DELTA),
-            (tf if isinstance(tf, dict) else {}).get("c0_fit", C0_FIT))
+            if not (min(r) > 1 and max(r) / min(r) < 1 + 1e-9):
+                e.append("eps_list: values must be distinct, decreasing "
+                         "and geometrically spaced")
+            if len({_member_dir(v) for v in el}) != len(set(el)):
+                e.append("eps_list: values must differ within 6 significant "
+                         "digits, the precision of each member's output "
+                         "directory eps_<value>")
+    if e:
+        return e
+    n, L, a0, mu0, dt, delta, c0 = (values[k] for k in (
+        "grid.n", "grid.L", "soliton.a0", "soliton.mu0", "dt", "delta", "t_final.c0_fit"))
+    # every sweep member runs to the horizon of its own eps; a fixed
+    # horizon is the same for all of them, so it is checked once
+    eps_values = cfg["eps_list"] if need_sweep else [eps]
+    longest = 0.0
+    for v in eps_values if policy == "theorem_horizon" else eps_values[:1]:
+        T, steps = horizon(tf, v, delta, c0, dt)
+        if steps < 1:
+            e.append(f"t_final: horizon {T:.6g} at eps = {v:g} "
+                     "must hold one to finitely many dt steps")
+        longest = max(longest, steps * dt)
+    # the soliton spectrum decays as exp(-xi/mu0); a tail the grid
+    # cuts off is a member it cannot represent
+    xi_max = 2 * math.pi * (n // 2 - 1) / L
+    tail = math.exp(-xi_max / mu0)
+    if tail > SPECTRAL_TAIL_MAX:
+        e.append(f"soliton.mu0: spectral tail exp(-xi_max/mu0) = {tail:.2g} at "
+                 f"the top grid bin exceeds {SPECTRAL_TAIL_MAX:g}; the grid does "
+                 "not resolve this scale (raise grid.n, or lower grid.L or mu0)")
+    if kind in ("gaussian", "sech2"):
+        # the transform at xi_max over its value at 0: exp(-z^2) for the
+        # Gaussian and x / sinh x, x = pi z, for sech2, z = xi_max width / 2
+        z = 0.5 * xi_max * p["width"]
+        x = math.pi * z
+        tail = math.exp(-z * z) if kind == "gaussian" \
+            else (x / math.sinh(x) if x < 700 else 0.0)
+        if tail > SPECTRAL_TAIL_MAX:
+            e.append(f"potential.width: the {kind}'s transform at the top grid "
+                     f"bin is {tail:.2g} of its value at 0, above "
+                     f"{SPECTRAL_TAIL_MAX:g}; the grid does not resolve this "
+                     "width (raise grid.n, or lower grid.L, or widen the potential)")
+    if e:
+        return e
+    # the free soliton must stay 10/mu0 clear of the box edge +-L/2 from
+    # a0 to a0 + c T (c the discrete-family drift rate, T the longest
+    # run horizon), or it wraps round the periodic box
+    half, margin = 0.5 * L, 10.0 / mu0
+    end = free_flow(build_g0(cfg), longest, build_grid(cfg)).a
+    return [f"soliton.a0: the free soliton {where}, not 10/mu0 = {margin:.3g} clear "
+            f"of the box edge +-{half:g}; it would wrap round the periodic box "
+            "(raise grid.L or shorten t_final)"
+            for a, where in ((a0, f"starts at a = {a0:.6g}"),
+                             (end, f"reaches a = {end:.6g} at t = {longest:.6g}"))
+            if abs(a) > half - margin]
 
 
 def _member_dir(eps) -> str:
@@ -230,12 +237,12 @@ class RunSpec:
 
 def run_spec(cfg: dict) -> RunSpec:
     """The RunSpec of a config that validate_config accepts."""
-    dt, stride, delta, c0 = map(float, _settings(cfg))
-    eps, stride = float(cfg["eps"]), int(stride)
-    steps = horizon(cfg["t_final"], eps, delta, c0, dt)[1]
+    s = _settings(cfg)
+    eps, delta, dt = float(cfg["eps"]), float(s["delta"]), float(s["dt"])
+    steps = horizon(cfg["t_final"], eps, delta, float(s["t_final.c0_fit"]), dt)[1]
     return RunSpec(build_grid(cfg), build_potential(cfg), build_g0(cfg), eps,
-                   delta, dt, stride,
-                   np.append(np.arange(0, steps, stride), steps) * dt)
+                   delta, dt, s["stride"],
+                   np.append(np.arange(0, steps, s["stride"]), steps) * dt)
 
 
 def build_grid(cfg: dict) -> SpectralGrid:
@@ -244,15 +251,8 @@ def build_grid(cfg: dict) -> SpectralGrid:
 
 def build_potential(cfg: dict):
     p = cfg["potential"]
-    kind = p["kind"]
-    if kind == "gaussian":
-        return gaussian_potential(p["amplitude"], p["center"], p["width"])
-    if kind == "sech2":
-        return sech2_potential(p["amplitude"], p["center"], p["width"])
-    if kind == "constant":
-        return constant_potential(p["value"])
-    return table_potential(np.asarray(p["x"], dtype=float),
-                           np.asarray(p["values"], dtype=float))
+    make, keys = POTENTIALS[p["kind"]]
+    return make(*(p[key] for key in keys))
 
 
 def build_g0(cfg: dict) -> GroupElement:
@@ -264,9 +264,8 @@ def build_g0(cfg: dict) -> GroupElement:
 def _write_csv(path, header: list, columns: list) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        n = len(columns[0])
-        for i in range(n):
-            fh.write(",".join("%.17g" % col[i] for col in columns) + "\n")
+        row = ",".join(["%.17g"] * len(columns)) + "\n"
+        fh.writelines(row % r for r in zip(*(np.asarray(c).tolist() for c in columns)))
 
 
 def _write_json(path, obj) -> None:
@@ -611,7 +610,7 @@ def cmd_sweep(cfg: dict, outdir: str, with_plots: bool, parallel: int) -> int:
         os.makedirs(sub, exist_ok=True)
         _emit_tracked(*results[eps], sub, with_plots)
 
-    summary = {"eps_list": eps_list, "delta": float(_settings(cfg)[2]),
+    summary = {"eps_list": eps_list, "delta": float(_settings(cfg)["delta"]),
                "completed": completed}
     if len(completed) >= 2:
         le = np.log(completed)

@@ -75,6 +75,18 @@ def test_readme_config_block_is_valid():
     assert validate_config(json.loads(block)) == []
 
 
+def test_readme_names_every_default_of_the_settings_table():
+    # the README's sentence on optional keys gives each row's default as
+    # the table holds it, and names no other default than outdir's
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = " ".join(readme.split("Optional keys and their defaults:", 1)[1]
+                        .split("Leaving a key out", 1)[0].split())
+    named = dict(re.findall(r'"([\w.]+)" ("\S*"|[\d.e+-]+)', sentence))
+    defaults = {path: f"{default:g}" for path, default, _, _ in cli.SETTINGS
+                if default is not None}
+    assert named == dict(defaults, outdir='"."')
+
+
 def test_validate_config_reports_paths():
     cfg = tiny_config()
     cfg["grid"]["n"] = 100
@@ -352,6 +364,20 @@ def test_sweep_reports_a_member_directory_that_is_a_file(tmp_path, capsys,
 _SOLITON = {"a0": -3.0, "alpha0": 1.0, "phi0": 0.0, "mu0": 3.0}
 
 
+def _setting_to(path, value):
+    """tiny_config() with the key at path set to value."""
+    cfg = tiny_config()
+    section, _, key = path.rpartition(".")
+    (cfg[section] if section else cfg)[key] = value
+    return cfg
+
+
+# every row of the settings table, set to JSON null and to true; under
+# tiny_config's fixed policy this checks t_final.c0_fit, which only the
+# theorem_horizon policy reads
+_ROW_VALUES = [(path, value) for path, *_ in cli.SETTINGS for value in (None, True)]
+
+
 @pytest.mark.parametrize("path, overrides", [
     ("eps", {"eps": True}),
     ("stride", {"stride": True}),
@@ -367,9 +393,12 @@ _SOLITON = {"a0": -3.0, "alpha0": 1.0, "phi0": 0.0, "mu0": 3.0}
                                           "values": [0, 1, "1", 0]}}),
     ("potential.x/values", {"potential": {"kind": "table", "x": [-2, 1, 0, 2],
                                           "values": [0, 1, 1, 0]}}),
-], ids=["bool_eps", "bool_stride", "bool_L", "nan_a0", "inf_L", "inf_t_final", "huge_t_final",
-        "grid_number", "soliton_list", "potential_string", "table_string",
-        "table_x_unordered"])
+    ("potential.kind", {"potential": {"kind": ["gaussian"]}}),
+] + [(path, _setting_to(path, value)) for path, value in _ROW_VALUES],
+    ids=["bool_eps", "bool_stride", "bool_L", "nan_a0", "inf_L", "inf_t_final", "huge_t_final",
+         "grid_number", "soliton_list", "potential_string", "table_string",
+         "table_x_unordered", "kind_list"]
+    + [f"{json.dumps(value)}_{path}" for path, value in _ROW_VALUES])
 def test_main_rejects_malformed_numbers_and_sections(tmp_path, capsys, path,
                                                      overrides):
     # JSON's true, NaN and Infinity are not finite real numbers, and a
@@ -378,6 +407,19 @@ def test_main_rejects_malformed_numbers_and_sections(tmp_path, capsys, path,
     assert main(["effective", "--config", cfg_path,
                  "--out", str(tmp_path / "o")]) == 2
     assert f"config error: {path}: " in capsys.readouterr().err
+
+
+def test_csv_rows_are_the_per_cell_formatting(tmp_path):
+    # one % per row over tolist() columns writes what "%.17g" of each
+    # cell wrote, for array and plain-list columns alike
+    special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1 / 3, 0.0]
+    columns = [np.array(special), list(reversed(special)),
+               np.arange(7, dtype=float) * 0.1]
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, ["a", "b", "c"], columns)
+    rows = ["a,b,c"] + [",".join("%.17g" % col[i] for col in columns)
+                        for i in range(len(special))]
+    assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
 
 
 def test_simulate_writes_deterministic_outputs(tmp_path):
@@ -1073,17 +1115,30 @@ def test_benchmark_tracer_installs():
     assert done.returncode == 0, done.stderr
 
 
-def test_benchmark_setup_probe_runs(tmp_path):
+def test_benchmark_setup_probe_runs(tmp_path, monkeypatch):
     # perfbench/setup_probe.py times a run's set-up through validate_config,
     # build_grid, build_potential, build_g0 and cli.soliton_profile; a
-    # renamed one would break only the benchmark's setup_s
+    # renamed one would break only the benchmark's setup_s.  perfbench's
+    # own dense and sweep configs carry a "seed" key the schema does not
+    # name: a config check that rejected unknown keys would make every
+    # benchmark run exit 2
     root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)   # for its dataclass
+    spec.loader.exec_module(workloads)
+    configs = {"tiny": tiny_config()}
+    for name in ("dense", "sweep"):
+        configs[name] = workloads.make_config(workloads.WORKLOADS[name], 1)
+        assert "seed" in configs[name]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    done = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "setup_probe.py"),
-         write_config(tmp_path, tiny_config())],
-        capture_output=True, text=True, env=env, cwd=tmp_path)
-    assert done.returncode == 0, done.stderr
+    for name, cfg in configs.items():
+        done = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "setup_probe.py"),
+             write_config(tmp_path, cfg, f"{name}.json")],
+            capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert done.returncode == 0, (name, done.stderr)
 
 
 def test_benchmark_tracer_records_a_tiny_track_run(tmp_path):
