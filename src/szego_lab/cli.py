@@ -42,6 +42,7 @@ from .decomposition import (
     TubularNeighborhoodError,
     theorem_metrics,
     track,  # unused here; perfbench's tracer wraps cli.track at install
+    with_deviations,
 )
 from . import plots
 
@@ -432,36 +433,36 @@ def _consume(spec: RunSpec, fd: int):
     """The forked consumer's work: Tracker.add of each sample read from
     the pipe fd, at spec's sample times, the ones evolve_pde takes the
     samples at, until the run ends and the pipe closes; then it yields the
-    Tracker's record(), or the exception add raised.  Each sample is a
-    field of its own over one reused buffer, so values a sink derives from
-    it are that sample's.  A failed add closes fd at once, so the CLI's
-    next sample write fails."""
+    Tracker's report(), the TrackReport an inline run builds, or the
+    exception add raised, and nothing if the PDE stopped short.  Each
+    sample is a field of its own over one reused buffer, so values a sink
+    derives from it are that sample's.  A failed add closes fd at once, so
+    the CLI's next sample write fails."""
     tracker = Tracker(spec.grid, spec.potential, spec.eps, spec.g0)
     bins = np.empty(spec.grid.n_points // 2, dtype=complex)
     failed = None
     with open(fd, "rb") as pipe:
         for t in spec.times:
-            if pipe.readinto(bins) < bins.nbytes:    # the PDE stopped
-                break
+            if pipe.readinto(bins) < bins.nbytes:    # the CLI raises why
+                return
             try:
                 tracker.add(float(t), HardyField(spec.grid, _spectrum=bins))
             except Exception as exc:   # the CLI raises it once the PDE stops
                 failed = exc
                 break
-    yield tracker.record() if failed is None else failed
+    yield tracker.report() if failed is None else failed
 
 
 def _decompose_in_consumer(spec: RunSpec):
     """_run_pde(spec, ...) while a forked consumer runs Tracker.add on each
-    sample (_consume); returns the PDE trajectory and a Tracker that has
-    loaded the consumer's record.  Only a sample's bins cross the pipe, as
-    raw bytes, and a default pipe holds 64 KiB, the bins of one sample at
-    n = 8192: there the PDE writes a sample without waiting whenever the
-    consumer has read the one before, and stops within a sample or two of
-    a failed decomposition.  The consumer's exception is raised in place
-    of whatever else stopped the PDE, since it came from an earlier
-    sample; a consumer that sent nothing is named by its signal or exit
-    status."""
+    sample (_consume); returns the PDE trajectory and the consumer's
+    TrackReport.  Only a sample's bins cross the pipe, as raw bytes, and a
+    default pipe holds 64 KiB, the bins of one sample at n = 8192: there
+    the PDE writes a sample without waiting whenever the consumer has read
+    the one before, and stops within a sample or two of a failed
+    decomposition.  The consumer's exception is raised in place of
+    whatever else stopped the PDE, since it came from an earlier sample; a
+    consumer that sent nothing is named by its signal or exit status."""
     samples_r, samples_w = os.pipe()
     with _reaping() as children:
         _fork(children, _consume(spec, samples_r), samples_w)
@@ -483,9 +484,7 @@ def _decompose_in_consumer(spec: RunSpec):
     if not sent or traj is None:
         raise RuntimeError(f"decomposition consumer {how} "
                            "before it sent the whole run's decompositions")
-    tracker = Tracker(spec.grid, spec.potential, spec.eps, spec.g0)
-    tracker.load(sent[0])
-    return traj, tracker
+    return traj, sent[0]
 
 
 def _run_tracked(cfg: dict, consumer: bool = False):
@@ -499,16 +498,15 @@ def _run_tracked(cfg: dict, consumer: bool = False):
     spec = run_spec(cfg)
     eff = _effective_run(spec)
     if consumer:
-        traj, tracker = _decompose_in_consumer(spec)
+        traj, report = _decompose_in_consumer(spec)
     else:
         tracker = Tracker(spec.grid, spec.potential, spec.eps, spec.g0)
         traj = _run_pde(spec, tracker.add)
-    report = tracker.report(eff)
+        report = tracker.report()
+    report = with_deviations(report, eff)
     metrics = theorem_metrics(report, spec.eps, spec.delta)
     metrics["mass_drift"] = traj.mass_drift
     metrics["hamiltonian_drift"] = traj.hamiltonian_drift
-    metrics["max_newton_iters"] = int(report.newton_iters.max())
-    metrics["max_mass_identity_residual"] = float(report.mass_residual.max())
     return report, metrics, traj
 
 
@@ -517,7 +515,7 @@ def _emit_tracked(report, metrics, outdir: str, with_plots: bool) -> None:
     _write_csv(os.path.join(outdir, "track.csv"),
                ["t", "a", "alpha", "phi", "mu", "w_h12", "x_norm",
                 "da", "dalpha", "dphi", "dmu"],
-               [report.times, *report.params().T, report.w_h12,
+               [report.times, *report.params.T, report.w_h12,
                 report.x_norm, *dev])
     _write_json(os.path.join(outdir, "metrics.json"), metrics)
     if with_plots:

@@ -1,7 +1,10 @@
 """Symplectically orthogonal decomposition u = g.(eta + w) and the
 per-run bookkeeping built on it: parameter extraction along a
 trajectory, the defect vector X of the extracted parameters, and the
-scaling summaries used by the sweep regressions.
+scaling summaries used by the sweep regressions.  A tracked run's one
+record is a TrackReport of arrays, the (a, alpha, phi, mu) rows among
+them; a forked consumer sends it as it is, and with_deviations adds the
+deviations against the effective run.
 
 The Newton solve runs in the lab frame.  For a candidate g the
 orthogonality conditions pair u - S(g) against the generator frame at
@@ -23,7 +26,7 @@ reparametrize only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -227,10 +230,11 @@ def x_vector(g: GroupElement, gdot, b: PotentialSpec, eps: float,
 
 @dataclass(frozen=True)
 class TrackReport:
-    """Per-sample record of a tracked run."""
+    """Per-sample record of a tracked run, as arrays: what Tracker.report
+    assembles, inline or in track's forked consumer."""
 
     times: np.ndarray
-    g_series: list
+    params: np.ndarray                 # (n, 4): a, alpha, phi, mu
     w_h12: np.ndarray
     x_norm: np.ndarray
     deviations: np.ndarray = None      # |g - g_effective|, columns a,alpha,phi,mu
@@ -238,9 +242,6 @@ class TrackReport:
     mass_residual: np.ndarray = None   # family mass identity, relative to mass(u0)
     newton_iters: np.ndarray = None
     mu_window_ok: bool = True
-
-    def params(self) -> np.ndarray:
-        return np.array([g.as_array() for g in self.g_series])
 
 
 def _stencil_end(times: np.ndarray) -> tuple:
@@ -298,17 +299,18 @@ class Tracker:
                  g0: GroupElement = None):
         self.grid, self.b, self.eps = grid, b, eps
         self.g0 = g0 if g0 is not None else GroupElement(0.0, 1.0, 0.0, 1.0)
-        self.rows = []      # (t, g, |w|_L2, |w|_H12, Newton iterations, mass residual)
-        self.params = []    # g.as_array() of each row
-        self.x_norm = []    # ||X|| of the leading rows whose stencil is settled
+        # one list per TrackReport column; x_norm holds the leading rows
+        # whose stencil is settled
+        self.times, self.params, self.w_l2, self.w_h12 = [], [], [], []
+        self.newton_iters, self.mass_residual, self.x_norm = [], [], []
         self.m0 = None
 
     def add(self, t: float, u: HardyField) -> None:
         t = float(t)
-        if self.rows:
-            t_prev, g_prev = self.rows[-1][:2]
+        if self.times:
             # the free rates; the O(eps dt) error is far inside the Newton basin
-            guess = free_flow(g_prev, t - t_prev, self.grid)
+            guess = free_flow(GroupElement(*self.params[-1]), t - self.times[-1],
+                              self.grid)
         else:
             guess = self.g0
         try:
@@ -318,12 +320,16 @@ class Tracker:
         if self.m0 is None:
             self.m0 = m
         fam = g.alpha**2 * family_mass_constant(g.mu, self.grid)
-        m_res = abs(g.alpha**2 * g.mu * l2**2 + fam - self.m0) / self.m0
-        self.rows.append((t, g, l2, h12, it, m_res))
+        self.times.append(t)
         self.params.append(g.as_array())
-        n = len(self.rows)
+        self.w_l2.append(l2)
+        self.w_h12.append(h12)
+        self.newton_iters.append(it)
+        self.mass_residual.append(
+            abs(g.alpha**2 * g.mu * l2**2 + fam - self.m0) / self.m0)
+        n = len(self.times)
         if n >= 6:   # the series ends at n - 1 or later: rows < n - 3 are settled
-            h = self.rows[1][0] - self.rows[0][0]
+            h = self.times[1] - self.times[0]
             while len(self.x_norm) < n - 3:
                 self.x_norm.append(self._defect(len(self.x_norm), n - 1, h))
 
@@ -332,53 +338,33 @@ class Tracker:
         gdot = _gdot_row(self.params, k, last, h)
         if not np.all(np.isfinite(gdot)):
             return math.nan
-        return x_vector(self.rows[k][1], gdot, self.b, self.eps,
+        return x_vector(GroupElement(*self.params[k]), gdot, self.b, self.eps,
                         grid=self.grid).norm()
 
-    def record(self) -> tuple:
-        """The rows and the settled ||X|| as arrays, for load(): what a
-        forked consumer sends, about half the bytes of the rows' tuples
-        of GroupElements."""
-        t, l2, h12, it, m_res = (np.array([row[j] for row in self.rows])
-                                 for j in (0, 2, 3, 4, 5))
-        return (t, np.array(self.params).reshape(-1, 4), l2, h12, it, m_res,
-                np.array(self.x_norm), self.m0)
-
-    def load(self, record: tuple) -> None:
-        """Take on the rows of another Tracker's record(), in place of this
-        one's."""
-        t, P, l2, h12, it, m_res, x_norm, self.m0 = record
-        self.rows = [(tk, GroupElement(*p), *rest) for tk, p, *rest in zip(
-            t.tolist(), P.tolist(), l2.tolist(), h12.tolist(), it.tolist(),
-            m_res.tolist())]
-        self.params = list(P)
-        self.x_norm = x_norm.tolist()
-
-    def report(self, effective_trajectory=None) -> TrackReport:
-        """The defect ||X|| from differenced parameter velocities,
-        deviations against an effective run sampled at the same times,
-        and the mu window."""
-        t, g_series, wl2, wh12, iters, m_res = (list(c) for c in zip(*self.rows))
-        times = np.array(t, dtype=float)
+    def report(self) -> TrackReport:
+        """The columns as arrays, with the defect ||X|| of the rows whose
+        stencils the run's end settles, and the mu window; no deviations
+        (with_deviations)."""
+        times = np.array(self.times, dtype=float)
         n = times.size
         P = np.array(self.params)
         mu0 = P[0, 3]
         mu_ok = bool(np.all((P[:, 3] >= mu0 / 2.0) & (P[:, 3] <= 1.5 * mu0)))
-
         last, h = _stencil_end(times)
         x_norm = np.array(self.x_norm + [self._defect(k, last, h)
                                          for k in range(len(self.x_norm), n)])
+        return TrackReport(times, P, np.array(self.w_h12), x_norm, None,
+                           np.array(self.w_l2), np.array(self.mass_residual),
+                           np.array(self.newton_iters), mu_ok)
 
-        deviations = None
-        if effective_trajectory is not None:
-            if len(effective_trajectory) != n:
-                raise ValueError("effective trajectory not aligned with samples")
-            E = np.array([s.g.as_array() for s in effective_trajectory])
-            deviations = np.abs(P - E)
 
-        return TrackReport(times, g_series, np.array(wh12), x_norm, deviations,
-                           np.array(wl2), np.array(m_res), np.array(iters),
-                           mu_ok)
+def with_deviations(report: TrackReport, effective_trajectory) -> TrackReport:
+    """report with its deviations |g - g_effective| against an effective
+    run sampled at the same times."""
+    if len(effective_trajectory) != report.times.size:
+        raise ValueError("effective trajectory not aligned with samples")
+    E = np.array([s.g.as_array() for s in effective_trajectory])
+    return replace(report, deviations=np.abs(report.params - E))
 
 
 def track(pde_trajectory: PdeTrajectory, b: PotentialSpec, eps: float,
@@ -392,7 +378,10 @@ def track(pde_trajectory: PdeTrajectory, b: PotentialSpec, eps: float,
     tracker = Tracker(pde_trajectory.grid, b, eps, g0)
     for t, u in zip(pde_trajectory.times, pde_trajectory.fields):
         tracker.add(float(t), u)
-    return tracker.report(effective_trajectory)
+    report = tracker.report()
+    if effective_trajectory is None:
+        return report
+    return with_deviations(report, effective_trajectory)
 
 
 _DEVIATION_POWERS = {
@@ -411,7 +400,7 @@ def theorem_metrics(report: TrackReport, eps: float, delta: float) -> dict:
     if report.deviations is None:
         raise ValueError("theorem_metrics needs a report with an effective "
                          "comparison (deviations)")
-    P = report.params()
+    P = report.params
     a2mu = P[:, 1] ** 2 * P[:, 3]
     out = {
         "eps": float(eps),
@@ -423,6 +412,8 @@ def theorem_metrics(report: TrackReport, eps: float, delta: float) -> dict:
         "sup_dev_mu": float(np.nanmax(report.deviations[:, 3])),
         "alpha2mu_drift": float(np.max(np.abs(a2mu - a2mu[0]))),
         "mu_window_ok": bool(report.mu_window_ok),
+        "max_newton_iters": int(report.newton_iters.max()),
+        "max_mass_identity_residual": float(report.mass_residual.max()),
     }
     for key, p in _DEVIATION_POWERS.items():
         out[f"power_{key}"] = float(p(delta))

@@ -87,18 +87,18 @@ def abc_coefficients(g: GroupElement, b: PotentialSpec,
     """
     if eps == 0.0:
         return CoefficientTriple(0.0, 0.0, 0.0)
-    if b.l1_db == 0.0:
-        # constant symbol: only the mean survives, and exactly
-        return CoefficientTriple(eps * float(b.eval_b(np.zeros(1))[0]), 0.0, 0.0)
     a, mu = g.a, g.mu
     # the potential's support padded by 8/mu, or a wide window around a
     lo, hi, pad = (*b.support_hint, 8.0 / mu) if b.support_hint else (a, a, 64.0)
     y = np.linspace(lo - pad, hi + pad, 1 << 17)
+    bv = np.asarray(b.eval_b(y), dtype=float)
+    dbv = np.asarray(b.eval_db(y), dtype=float)
+    if not np.any(dbv):
+        # b flat on the window: only its value survives, and exactly
+        return CoefficientTriple(eps * float(bv[0]), 0.0, 0.0)
     dy = y[1] - y[0]
     x = mu * (y - a)
     dens = mu / (x**2 + 1.0)          # |eta(mu(y-a))|^2 * mu
-    bv = np.asarray(b.eval_b(y), dtype=float)
-    dbv = np.asarray(b.eval_db(y), dtype=float)
     A = (eps / np.pi) * _trapz(bv * dens, dy)
     B = (eps / np.pi) * _trapz(dbv * (y - a) * dens, dy)
     C = (eps / np.pi) * _trapz(dbv * dens / mu, dy)

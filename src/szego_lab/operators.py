@@ -2,15 +2,15 @@
 linearization of the flow at the ground soliton.
 
 The potential enters everywhere through a PotentialSpec, which carries
-the symbol b, its derivative, and the norms that the perturbative
-estimates are phrased in.  The operator pieces assembled here --
+the symbol b, its derivative, and the interval outside which b' is
+negligible.  The operator pieces assembled here --
 T_b h = P(b h), H_u h = P(u conj(h)) and the second-variation operator
 L -- act pointwise on grid values followed by a single Hardy projection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,15 +31,12 @@ class PotentialSpec:
     """Real bounded potential b with integrable derivative.
 
     support_hint is the interval outside which b' is negligible; the
-    coefficient quadratures center their windows on it.  l1_db is the
-    norm of b' appearing in the perturbative bounds, precomputed on a
-    dense window at construction.
+    coefficient quadratures center their windows on it.
     """
 
     eval_b: callable
     eval_db: callable
     support_hint: tuple = None
-    l1_db: float = field(default=None, repr=False)
 
     def __post_init__(self):
         lo, hi = self.support_hint if self.support_hint else (-20.0, 20.0)
@@ -56,10 +53,6 @@ class PotentialSpec:
         scale = max(1.0, float(np.max(np.abs(db))))
         if np.max(np.abs(fd - db)) > 1e-6 * scale:
             raise ValueError("eval_db is not the derivative of eval_b")
-        if self.l1_db is None:
-            ys = np.linspace(lo, hi, 16384)
-            dbs = np.abs(np.asarray(self.eval_db(ys), dtype=float))
-            object.__setattr__(self, "l1_db", float(np.sum(dbs) * (ys[1] - ys[0])))
         object.__setattr__(self, "_grid_cache", {})
 
     def on_grid(self, grid: SpectralGrid) -> np.ndarray:

@@ -835,7 +835,13 @@ def test_track_writes_the_same_with_and_without_the_consumer(tmp_path, monkeypat
     # the last of the 100 steps is a sample off the stride
     path = write_config(tmp_path, tiny_config(
         stride=stride, t_final={"policy": "fixed", "value": 0.1}))
-    outs = {}
+    outs, reports, emit = {}, {}, cli._emit_tracked
+
+    def keep(report, *args):
+        reports[consumer] = report
+        emit(report, *args)
+
+    monkeypatch.setattr(cli, "_emit_tracked", keep)
     for consumer in (True, False):
         monkeypatch.setattr(cli, "_spare_cpu", lambda: consumer)
         outs[consumer] = tmp_path / str(consumer)
@@ -843,7 +849,20 @@ def test_track_writes_the_same_with_and_without_the_consumer(tmp_path, monkeypat
     for name in ("track.csv", "metrics.json"):
         assert (outs[True] / name).read_bytes() == (outs[False] / name).read_bytes()
     assert len((outs[True] / "track.csv").read_text().splitlines()) == rows + 1
+    # every column of the report, also those no output file carries whole
+    for f in dataclasses.fields(TrackReport):
+        assert _same_bits(getattr(reports[True], f.name),
+                          getattr(reports[False], f.name)), f.name
     assert_reaped(forks, 1)
+
+
+def _same_bits(a, b) -> bool:
+    """Whether a and b have the same dtype, shape and bits, any NaN equal
+    to any other."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype.kind == "f":
+        a, b = (np.where(np.isnan(v), np.nan, v) for v in (a, b))
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_each_consumer_sample_is_a_field_of_its_own(tmp_path, monkeypatch, forks):
@@ -895,7 +914,7 @@ class _FailsAtSample(cli.Tracker):
     K = 10
 
     def add(self, t, u):
-        if len(self.rows) == self.K:
+        if len(self.times) == self.K:
             raise cli.TubularNeighborhoodError(f"t = {t:.6g}: injected")
         super().add(t, u)
 
@@ -938,7 +957,7 @@ def test_track_names_a_consumer_killed_by_a_signal(tmp_path, capsys,
 
     class DiesAtSample(cli.Tracker):
         def add(self, t, u):
-            if len(self.rows) == 3 and os.getpid() != cli_pid:
+            if len(self.times) == 3 and os.getpid() != cli_pid:
                 os.kill(os.getpid(), signal.SIGKILL)
             super().add(t, u)
 
@@ -1018,15 +1037,10 @@ def test_streamed_run_matches_stored_track():
 
     for f in dataclasses.fields(TrackReport):
         got, exp = getattr(report, f.name), getattr(want, f.name)
-        if f.name == "g_series":
-            got = [g.as_array() for g in got]
-            exp = [g.as_array() for g in exp]
         assert np.array_equal(got, exp, equal_nan=True), f.name
     want_metrics = theorem_metrics(want, eps, cfg["delta"])
     want_metrics["mass_drift"] = traj.mass_drift
     want_metrics["hamiltonian_drift"] = traj.hamiltonian_drift
-    want_metrics["max_newton_iters"] = int(want.newton_iters.max())
-    want_metrics["max_mass_identity_residual"] = float(want.mass_residual.max())
     assert json.dumps(metrics, sort_keys=True) == \
         json.dumps(want_metrics, sort_keys=True)
 

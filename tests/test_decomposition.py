@@ -242,7 +242,7 @@ def test_track_report_shape(short_tracked_run):
     grid, traj, eff, report = short_tracked_run
     n = len(traj.times)
     assert len(report.times) == n
-    assert len(report.g_series) == n
+    assert report.params.shape == (n, 4)
     assert report.w_h12.shape == (n,)
     assert report.x_norm.shape == (n,)
     assert report.deviations.shape == (n, 4)
@@ -266,7 +266,7 @@ def test_track_mass_identity(short_tracked_run):
     # the remainder norm balances the family mass against the conserved
     # total, with the discrete family constant in place of pi mu
     assert np.nanmax(report.mass_residual) < 1e-9
-    g_last = report.g_series[-1]
+    g_last = GroupElement(*report.params[-1])
     m0 = mass(traj.fields[0])
     recon = (g_last.alpha**2 * g_last.mu * report.w_l2[-1] ** 2
              + g_last.alpha**2 * family_mass_constant(g_last.mu, grid))
@@ -277,7 +277,7 @@ def test_track_deviations_against_effective(short_tracked_run):
     _, _, eff, report = short_tracked_run
     # column order (a, alpha, phi, mu); all small over one unit of time
     assert np.max(np.abs(report.deviations)) < 1e-2
-    a_dev = abs(report.g_series[-1].a - eff[-1].g.a)
+    a_dev = abs(report.params[-1, 0] - eff[-1].g.a)
     assert_allclose(report.deviations[-1, 0], a_dev, atol=1e-12)
 
 
@@ -330,12 +330,12 @@ def test_track_csv_format(short_tracked_run, tmp_path):
     # 17 significant digits survive a parse round trip
     row = text.splitlines()[2].split(",")
     assert float(row[0]) == report.times[1]
-    assert float(row[1]) == report.g_series[1].a
+    assert float(row[1]) == report.params[1, 0]
 
 
 def test_params_accessor(short_tracked_run):
     _, _, _, report = short_tracked_run
-    P = report.params()
+    P = report.params
     assert P.shape == (len(report.times), 4)
     assert_allclose(P[0], [-3.0, 1.0, 0.0, 3.0], atol=1e-9)
 
@@ -395,14 +395,14 @@ def test_streamed_defect_is_the_batch_defect(stride_1_run, steps):
     tracker = Tracker(grid, GAUSS, eps, g0)
     for k in steps:
         tracker.add(float(traj.times[k]), traj.fields[k])
-    n = len(tracker.rows)
-    times = np.array([row[0] for row in tracker.rows])
-    gs = [row[1] for row in tracker.rows]
-    gdot = _gdot_series(times, np.array([g.as_array() for g in gs]))
+    n = len(tracker.times)
+    times = np.array(tracker.times)
+    gdot = _gdot_series(times, np.array(tracker.params))
     want = np.full(n, np.nan)
     for k in range(n):
         if np.all(np.isfinite(gdot[k])):
-            want[k] = x_vector(gs[k], gdot[k], GAUSS, eps, grid=grid).norm()
+            want[k] = x_vector(GroupElement(*tracker.params[k]), gdot[k], GAUSS,
+                               eps, grid=grid).norm()
     settled = n - 3 if n >= 6 else 0
     assert len(tracker.x_norm) == settled
     assert np.array_equal(tracker.x_norm, want[:settled], equal_nan=True)
@@ -430,7 +430,7 @@ def test_theorem_metrics_keys(short_tracked_run):
 def test_theorem_metrics_needs_deviations(grid):
     report = TrackReport(
         times=np.array([0.0, 1.0]),
-        g_series=[identity(), identity()],
+        params=np.array([identity().as_array()] * 2),
         w_h12=np.zeros(2),
         x_norm=np.full(2, np.nan),
     )
